@@ -1,0 +1,9 @@
+"""Lets `python3 -m pytest perfbench` import the benchmark modules and the
+program under test from a checkout."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+sys.path.insert(0, HERE)
