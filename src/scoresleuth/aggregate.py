@@ -18,6 +18,7 @@ datasets) are refused with UnsupportedExperiment rather than guessed.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     TooManyConfigurations,
     UnsupportedExperiment,
 )
-from .feasibility import AffineConstraint, propagate, solve
+from .feasibility import AffineConstraint, SolveOutcome, propagate, solve
 from .folds import (
     config_cap,
     enumerate_fold_configurations,
@@ -80,12 +81,14 @@ def _require_linear(scores: ScoreReport, registry: ScoreRegistry) -> None:
 _Group = tuple[Fraction, tuple[Testset, ...], list[str]]
 
 
-def _solve_mos_groups(groups: Sequence[_Group], targets, registry):
+def _solve_mos_groups(groups: Sequence[_Group], targets,
+                      registry) -> SolveOutcome:
     """Feasibility of the mean constraints over all fold variables.
 
-    Returns ("excluded", info) when some reported score is undefined on a
-    fold for every outcome (no finite mean could have been computed there),
-    ("infeasible", evidence), or ("feasible", per_group_counts, evidence).
+    The outcome is excluded when some reported score is undefined on a
+    fold for every outcome (no finite mean could have been computed
+    there); a feasible outcome's solution is one list of fold counts per
+    group.
     """
     domains: list[tuple[int, int]] = []
     labels: list[str] = []
@@ -103,12 +106,12 @@ def _solve_mos_groups(groups: Sequence[_Group], targets, registry):
             for fold in folds:
                 abc = definition.affine_coefficients(fold.p, fold.n)
                 if abc is None:
-                    return "excluded", {
+                    return SolveOutcome(excluded=True, evidence={
                         "score": score_id,
                         "fold": {"p": fold.p, "n": fold.n},
                         "reason": "score undefined on this fold for every "
                                   "outcome, so no finite mean exists",
-                    }
+                    })
                 a, b, c = abc
                 coeffs.append(coeff * a)
                 coeffs.append(coeff * b)
@@ -118,18 +121,18 @@ def _solve_mos_groups(groups: Sequence[_Group], targets, registry):
 
     root = propagate(domains, constraints)
     if root is None:
-        return "infeasible", {
-            "reason": "bound propagation proves no assignment exists"}
+        return SolveOutcome(evidence={
+            "reason": "bound propagation proves no assignment exists"})
     dom_payload = {}
     for idx, label in enumerate(labels):
         dom_payload[f"{label}.tp"] = list(root[2 * idx])
         dom_payload[f"{label}.tn"] = list(root[2 * idx + 1])
     assignment = solve(domains, constraints)
     if assignment is None:
-        return "infeasible", {
+        return SolveOutcome(evidence={
             "reason": "no integer assignment satisfies all mean constraints",
             "propagated_domains": dom_payload,
-        }
+        })
     shaped: list[list[dict]] = []
     idx = 0
     for _, folds, _ in groups:
@@ -138,14 +141,7 @@ def _solve_mos_groups(groups: Sequence[_Group], targets, registry):
             fold_counts.append({"tp": assignment[idx], "tn": assignment[idx + 1]})
             idx += 2
         shaped.append(fold_counts)
-    return "feasible", shaped, {"propagated_domains": dom_payload}
-
-
-def _excluded_result(procedure: str, info: dict,
-                     extra: Optional[dict] = None) -> ConsistencyResult:
-    evidence = dict(info)
-    evidence.update(extra or {})
-    return ConsistencyResult(True, procedure, evidence=evidence)
+    return SolveOutcome(shaped, {"propagated_domains": dom_payload})
 
 
 def check_mos_known_folds(folds: Sequence[Testset], scores: ScoreReport,
@@ -164,16 +160,14 @@ def check_mos_known_folds(folds: Sequence[Testset], scores: ScoreReport,
     targets, violation = compute_targets(scores, uncertainty, registry)
     extra = extra_evidence or {}
     if violation is not None:
-        return _excluded_result(procedure, violation, extra)
+        return ConsistencyResult(True, procedure,
+                                 evidence={**violation, **extra})
     k = len(folds)
     groups = [(Fraction(1, k), tuple(folds), [f"fold{j}" for j in range(k)])]
     outcome = _solve_mos_groups(groups, targets, registry)
-    if outcome[0] == "feasible":
-        _, shaped, evidence = outcome
-        evidence.update(extra)
-        return ConsistencyResult(False, procedure,
-                                 witness={"folds": shaped[0]}, evidence=evidence)
-    return _excluded_result(procedure, outcome[1], extra)
+    witness = {"folds": outcome.solution[0]} if outcome.feasible else None
+    return ConsistencyResult(not outcome.feasible, procedure, witness=witness,
+                             evidence={**outcome.evidence, **extra})
 
 
 def check_mos_unknown_folds(testset: Testset, k: int, scores: ScoreReport,
@@ -192,7 +186,7 @@ def check_mos_unknown_folds(testset: Testset, k: int, scores: ScoreReport,
     _require_linear(scores, registry)
     targets, violation = compute_targets(scores, uncertainty, registry)
     if violation is not None:
-        return _excluded_result(procedure, violation)
+        return ConsistencyResult(True, procedure, evidence=violation)
     limit = config_cap(cap)
     tried = excluded = 0
     labels = [f"fold{j}" for j in range(k)]
@@ -203,30 +197,19 @@ def check_mos_unknown_folds(testset: Testset, k: int, scores: ScoreReport,
         folds = tuple(Testset(fp, fn) for fp, fn in config)
         outcome = _solve_mos_groups([(Fraction(1, k), folds, labels)],
                                     targets, registry)
-        if outcome[0] == "excluded":
+        if outcome.excluded:
             excluded += 1
-            continue
-        if outcome[0] == "feasible":
-            _, shaped, evidence = outcome
-            evidence["configurations_tried"] = tried
+        elif outcome.feasible:
             return ConsistencyResult(
                 False, procedure,
                 witness={"configuration": [[f.p, f.n] for f in folds],
-                         "folds": shaped[0]},
-                evidence=evidence)
+                         "folds": outcome.solution[0]},
+                evidence={**outcome.evidence, "configurations_tried": tried})
     return ConsistencyResult(True, procedure, evidence={
         "configurations_tried": tried,
         "configurations_excluded": excluded,
         "reason": "no fold-size configuration admits a satisfying outcome",
     })
-
-
-def _with_procedure(result: ConsistencyResult, procedure: str,
-                    extra_evidence: dict) -> ConsistencyResult:
-    evidence = dict(result.evidence or {})
-    evidence.update(extra_evidence)
-    return ConsistencyResult(result.inconsistency, procedure,
-                             witness=result.witness, evidence=evidence)
 
 
 def check_experiment(spec: ExperimentSpec, scores: ScoreReport,
@@ -260,8 +243,8 @@ def check_experiment(spec: ExperimentSpec, scores: ScoreReport,
             pooled = (reduce_som(scheme.folds)
                       if scheme.kind == "known_folds" else ds.testset)
             result = check_single_testset(pooled, scores, uncertainty, registry)
-            return _with_procedure(result, "som_pooled",
-                                   {"pooled": {"p": pooled.p, "n": pooled.n}})
+            return replace(result, procedure="som_pooled", evidence={
+                **result.evidence, "pooled": {"p": pooled.p, "n": pooled.n}})
         if scheme.kind == "known_folds":
             return check_mos_known_folds(scheme.folds, scores, uncertainty,
                                          registry)
@@ -285,9 +268,9 @@ def check_experiment(spec: ExperimentSpec, scores: ScoreReport,
         # Fold-level SoM (or no folding) pools to the dataset totals.
         pooled = reduce_som([ds.testset for ds in spec.datasets])
         result = check_single_testset(pooled, scores, uncertainty, registry)
-        return _with_procedure(result, "som_pooled",
-                               {"pooled": {"p": pooled.p, "n": pooled.n},
-                                "datasets_pooled": len(spec.datasets)})
+        return replace(result, procedure="som_pooled", evidence={
+            **result.evidence, "pooled": {"p": pooled.p, "n": pooled.n},
+            "datasets_pooled": len(spec.datasets)})
     return _check_mos_datasets(spec, scores, uncertainty, registry, cap)
 
 
@@ -303,7 +286,7 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
     _require_linear(scores, registry)
     targets, violation = compute_targets(scores, uncertainty, registry)
     if violation is not None:
-        return _excluded_result(procedure, violation)
+        return ConsistencyResult(True, procedure, evidence=violation)
 
     D = len(spec.datasets)
     fold_mos = spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES
@@ -350,13 +333,11 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
         tried += 1
         groups = [choice[0] for choice in combo]
         outcome = _solve_mos_groups(groups, targets, registry)
-        if outcome[0] == "excluded":
+        if outcome.excluded:
             excluded += 1
-            continue
-        if outcome[0] == "feasible":
-            _, shaped, evidence = outcome
+        elif outcome.feasible:
             witness_datasets = []
-            for (group, kind, config_sizes), counts in zip(combo, shaped):
+            for (_, kind, config_sizes), counts in zip(combo, outcome.solution):
                 if kind == "folds":
                     witness_datasets.append({"folds": counts})
                 elif kind == "config":
@@ -366,10 +347,9 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
                     witness_datasets.append(dict(counts[0], pooled=True))
                 else:
                     witness_datasets.append(counts[0])
-            evidence["combinations_tried"] = tried
-            return ConsistencyResult(False, procedure,
-                                     witness={"datasets": witness_datasets},
-                                     evidence=evidence)
+            return ConsistencyResult(
+                False, procedure, witness={"datasets": witness_datasets},
+                evidence={**outcome.evidence, "combinations_tried": tried})
     return ConsistencyResult(True, procedure, evidence={
         "combinations_tried": tried,
         "combinations_excluded": excluded,

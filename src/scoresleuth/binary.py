@@ -15,12 +15,12 @@ with exact arithmetic, so the shortcuts cannot change the verdict.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional, Union
 
 from .errors import RegionTooLarge
-from .intervals import RationalInterval, interval_payload
+from .intervals import EMPTY, RationalInterval, interval_payload
 from .model import ConsistencyResult, ScoreReport, Testset, Uncertainty
-from .scores import ScoreRegistry, default_registry
+from .scores import ScoreDefinition, ScoreRegistry, default_registry
 
 PROCEDURE_ID = "single_testset"
 
@@ -38,9 +38,14 @@ REGION_CAP = 10 ** 7
 
 
 def compute_targets(scores: ScoreReport, uncertainty: Uncertainty,
-                    registry: ScoreRegistry):
+                    definitions: Union[ScoreRegistry,
+                                       Mapping[str, ScoreDefinition]]):
     """Per-score target intervals [v - r - slack, v + r + slack], intersected
-    with each score's theoretical range.
+    with each score's theoretical range, keyed by the reported id.
+
+    `definitions.get(reported_id)` gives the definition whose range
+    applies: a registry for plain ids, or a mapping such as
+    {"macro-acc": <acc>} for averaged multiclass ids.
 
     Returns (targets, violation). When a reported value lies outside its
     range even after widening, the intersection is empty and `violation`
@@ -49,7 +54,7 @@ def compute_targets(scores: ScoreReport, uncertainty: Uncertainty,
     """
     targets: dict[str, RationalInterval] = {}
     for score_id, value in scores.items():
-        definition = registry.get(score_id)
+        definition = definitions.get(score_id)
         radius = uncertainty.radius_for(score_id) + uncertainty.solver_slack
         raw = RationalInterval.closed(value - radius, value + radius)
         target = raw.intersect(definition.range)
@@ -102,6 +107,8 @@ def _verify_pair(defs, targets, tp, tn, p, n) -> bool:
 
 
 def _int_values(box: RationalInterval):
+    if box.is_empty:
+        return range(0)
     return range(int(box.lo), int(box.hi) + 1)
 
 
@@ -116,6 +123,40 @@ def _column_box(defs, targets, tp, tn_box, p, n) -> RationalInterval:
     return col
 
 
+def _search(testset: Testset, scores: ScoreReport, uncertainty: Uncertainty,
+            registry: Optional[ScoreRegistry]):
+    """Targets, pruned boxes and the lazy scan of one report.
+
+    Returns (violation, tp_box, tn_box, pairs). `violation` is the evidence
+    of a reported value outside its range, and then both boxes are EMPTY;
+    otherwise `pairs` yields every (tp, tn) of the pruned boxes that
+    reproduces the report, in ascending (tp, tn) order.
+    """
+    registry = registry or default_registry()
+    defs = {score_id: registry.get(score_id) for score_id in scores.ids}
+    targets, violation = compute_targets(scores, uncertainty, defs)
+    if violation is not None:
+        return violation, EMPTY, EMPTY, iter(())
+    p, n = testset.p, testset.n
+    tp_box, tn_box = _prune_boxes(
+        defs, targets, RationalInterval.closed(0, p),
+        RationalInterval.closed(0, n), p, n)
+    return None, tp_box, tn_box, _scan(defs, targets, tp_box, tn_box, p, n)
+
+
+def _scan(defs, targets, tp_box, tn_box, p, n):
+    """Column by column over the pruned boxes: each tp gets its own tn
+    interval from the inversions, and the pairs in it are verified
+    exactly."""
+    if tp_box.is_empty or tn_box.is_empty:
+        return
+    for tp in _int_values(tp_box):
+        col = _column_box(defs, targets, tp, tn_box, p, n)
+        for tn in _int_values(col):
+            if _verify_pair(defs, targets, tp, tn, p, n):
+                yield tp, tn
+
+
 def check_single_testset(testset: Testset, scores: ScoreReport,
                          uncertainty: Uncertainty,
                          registry: Optional[ScoreRegistry] = None) -> ConsistencyResult:
@@ -126,31 +167,20 @@ def check_single_testset(testset: Testset, scores: ScoreReport,
     (possibly empty) feasibility boxes, or with the violated range when a
     reported value is theoretically impossible.
     """
-    registry = registry or default_registry()
-    defs = {score_id: registry.get(score_id) for score_id in scores.ids}
-    targets, violation = compute_targets(scores, uncertainty, registry)
+    violation, tp_box, tn_box, pairs = _search(testset, scores, uncertainty,
+                                               registry)
     if violation is not None:
         return ConsistencyResult(True, PROCEDURE_ID, evidence=violation)
-
-    p, n = testset.p, testset.n
-    tp_box, tn_box = _prune_boxes(
-        defs, targets, RationalInterval.closed(0, p),
-        RationalInterval.closed(0, n), p, n)
     evidence = {
         "tp_range": interval_payload(tp_box),
         "tn_range": interval_payload(tn_box),
     }
-    if not (tp_box.is_empty or tn_box.is_empty):
-        for tp in _int_values(tp_box):
-            col = _column_box(defs, targets, tp, tn_box, p, n)
-            if col.is_empty:
-                continue
-            for tn in _int_values(col):
-                if _verify_pair(defs, targets, tp, tn, p, n):
-                    return ConsistencyResult(
-                        False, PROCEDURE_ID,
-                        witness={"tp": tp, "tn": tn}, evidence=evidence)
-    return ConsistencyResult(True, PROCEDURE_ID, evidence=evidence)
+    witness = next(pairs, None)
+    if witness is None:
+        return ConsistencyResult(True, PROCEDURE_ID, evidence=evidence)
+    tp, tn = witness
+    return ConsistencyResult(False, PROCEDURE_ID, witness={"tp": tp, "tn": tn},
+                             evidence=evidence)
 
 
 def feasible_region(testset: Testset, scores: ScoreReport,
@@ -162,27 +192,8 @@ def feasible_region(testset: Testset, scores: ScoreReport,
     Raises RegionTooLarge when more than `cap` candidate pairs survive
     pruning; an explicit refusal beats an open-ended enumeration.
     """
-    registry = registry or default_registry()
-    defs = {score_id: registry.get(score_id) for score_id in scores.ids}
-    targets, violation = compute_targets(scores, uncertainty, registry)
-    if violation is not None:
-        return []
-    p, n = testset.p, testset.n
-    tp_box, tn_box = _prune_boxes(
-        defs, targets, RationalInterval.closed(0, p),
-        RationalInterval.closed(0, n), p, n)
-    if tp_box.is_empty or tn_box.is_empty:
-        return []
-    candidates = (int(tp_box.hi) - int(tp_box.lo) + 1) * (
-        int(tn_box.hi) - int(tn_box.lo) + 1)
+    _, tp_box, tn_box, pairs = _search(testset, scores, uncertainty, registry)
+    candidates = len(_int_values(tp_box)) * len(_int_values(tn_box))
     if candidates > cap:
         raise RegionTooLarge(candidates, cap)
-    region = []
-    for tp in _int_values(tp_box):
-        col = _column_box(defs, targets, tp, tn_box, p, n)
-        if col.is_empty:
-            continue
-        for tn in _int_values(col):
-            if _verify_pair(defs, targets, tp, tn, p, n):
-                region.append((tp, tn))
-    return region
+    return list(pairs)

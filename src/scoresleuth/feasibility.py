@@ -43,6 +43,26 @@ class AffineConstraint:
             raise ValueError("constraint bounds must be nonempty")
 
 
+@dataclass(frozen=True)
+class SolveOutcome:
+    """What one system of mean constraints came to.
+
+    `solution` holds the caller's per-fold counts (or matrices) when the
+    system is feasible, and is None otherwise. `excluded` marks a system
+    that could not have produced the report at all, because a reported
+    score is undefined on some fold for every outcome; an OR over fold
+    layouts skips and counts those. `evidence` explains the outcome.
+    """
+
+    solution: Optional[list] = None
+    evidence: Optional[dict] = None
+    excluded: bool = False
+
+    @property
+    def feasible(self) -> bool:
+        return self.solution is not None
+
+
 def _scale(constraints: Sequence[AffineConstraint]):
     """Integer form of each constraint: (terms, lo, hi) with terms a list of
     (index, int coefficient) and an integer window [lo, hi] (None = open

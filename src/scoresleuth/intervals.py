@@ -3,16 +3,12 @@
 The decision procedures in this package only ever compare rational numbers,
 so intervals carry exact `fractions.Fraction` endpoints. `None` stands for an
 unbounded side, and a dedicated empty interval is representable (distinct
-from every point interval). Division by the point interval [0, 0] has no
-meaningful result and returns `None` ("Undefined"); Undefined is a value for
-callers to branch on, not an error.
+from every point interval).
 
-Multiplication uses the convention that an indeterminate 0 * inf endpoint
-product contributes both 0 and the signed infinity to the candidate
-endpoints. That can over-approximate (e.g. [0,0] * [1,inf) -> [0,inf)) but
-never under-approximates, which is the only direction that would break the
-engine; products of bounded intervals and of sign-definite operands stay
-exact.
+The operations are the ones the engine uses: addition, negation and
+subtraction, scaling by a positive rational constant, intersection and
+clamping to integer endpoints. All of them have exact endpoints, including
+unbounded ones, so no indeterminate form such as 0 * inf can arise.
 """
 
 from __future__ import annotations
@@ -23,10 +19,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 Rat = Union[Fraction, int]
-
-# Tags for extended-value arithmetic inside mul().
-_NEG_INF = "-inf"
-_POS_INF = "+inf"
 
 
 def _frac(x: Rat) -> Fraction:
@@ -110,45 +102,13 @@ class RationalInterval:
     def sub(self, other: "RationalInterval") -> "RationalInterval":
         return self.add(other.neg())
 
-    def mul(self, other: "RationalInterval") -> "RationalInterval":
-        if self.is_empty or other.is_empty:
+    def scale(self, c: Rat) -> "RationalInterval":
+        """The interval {c * x : x in self} for a rational c > 0; an
+        unbounded side stays unbounded."""
+        if self.is_empty:
             return EMPTY
-        a_ends = [(self.lo, _NEG_INF), (self.hi, _POS_INF)]
-        b_ends = [(other.lo, _NEG_INF), (other.hi, _POS_INF)]
-        candidates = []
-        for av, atag in a_ends:
-            for bv, btag in b_ends:
-                candidates.extend(_end_product(av, atag, bv, btag))
-        lo = _POS_INF
-        hi = _NEG_INF
-        for c in candidates:
-            lo = _ext_min(lo, c)
-            hi = _ext_max(hi, c)
-        return RationalInterval(
-            None if lo == _NEG_INF else lo,
-            None if hi == _POS_INF else hi,
-        )
-
-    def div(self, other: "RationalInterval") -> Optional["RationalInterval"]:
-        """Interval quotient; returns None (Undefined) when dividing by the
-        point interval [0, 0]."""
-        if self.is_empty or other.is_empty:
-            return EMPTY
-        b_lo, b_hi = other.lo, other.hi
-        if b_lo == 0 and b_hi == 0:
-            return None
-        below = b_lo is None or b_lo < 0
-        above = b_hi is None or b_hi > 0
-        if below and above:
-            # 0 strictly inside the divisor: no finite bound survives.
-            return RationalInterval.unbounded()
-        if not below:  # divisor within [0, +inf)
-            inv_lo = Fraction(0) if b_hi is None else Fraction(1) / b_hi
-            inv_hi = None if b_lo == 0 else Fraction(1) / b_lo
-        else:  # divisor within (-inf, 0]
-            inv_hi = Fraction(0) if b_lo is None else Fraction(1) / b_lo
-            inv_lo = None if b_hi == 0 else Fraction(1) / b_hi
-        return self.mul(RationalInterval(inv_lo, inv_hi))
+        return RationalInterval(None if self.lo is None else self.lo * c,
+                                None if self.hi is None else self.hi * c)
 
     def intersect(self, other: "RationalInterval") -> "RationalInterval":
         if self.is_empty or other.is_empty:
@@ -170,11 +130,9 @@ class RationalInterval:
             return EMPTY
         return RationalInterval(lo, hi)
 
-    # operator sugar; div is deliberately a named method because it may
-    # return None.
+    # operator sugar
     __add__ = add
     __sub__ = sub
-    __mul__ = mul
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -185,47 +143,6 @@ class RationalInterval:
 
 
 EMPTY = RationalInterval(None, None, is_empty=True)
-
-
-def _end_product(av, atag, bv, btag):
-    """Candidate products of two interval endpoints. Infinite endpoints are
-    encoded by value None plus the side tag. An indeterminate 0*inf yields
-    both 0 and the signed infinity (see module docstring)."""
-    a_inf = av is None
-    b_inf = bv is None
-    if not a_inf and not b_inf:
-        return [av * bv]
-    if a_inf and b_inf:
-        pos = (atag == _POS_INF) == (btag == _POS_INF)
-        return [_POS_INF if pos else _NEG_INF]
-    if a_inf:
-        inf_tag, fin = atag, bv
-    else:
-        inf_tag, fin = btag, av
-    if fin == 0:
-        return [Fraction(0), inf_tag]
-    pos = (inf_tag == _POS_INF) == (fin > 0)
-    return [_POS_INF if pos else _NEG_INF]
-
-
-def _ext_min(a, b):
-    if a == _NEG_INF or b == _NEG_INF:
-        return _NEG_INF
-    if a == _POS_INF:
-        return b
-    if b == _POS_INF:
-        return a
-    return min(a, b)
-
-
-def _ext_max(a, b):
-    if a == _POS_INF or b == _POS_INF:
-        return _POS_INF
-    if a == _NEG_INF:
-        return b
-    if b == _NEG_INF:
-        return a
-    return max(a, b)
 
 
 def _ext_max2(a, b):

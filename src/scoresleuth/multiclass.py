@@ -34,18 +34,20 @@ holds for every registry score except jac, gm (for C > 2), plr and nlr.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .binary import compute_targets
 from .errors import (
     FoldTotalsMismatch,
     NonlinearScoreUnsupported,
     TooManyConfigurations,
     UnsupportedExperiment,
 )
-from .feasibility import AffineConstraint, solve
+from .feasibility import AffineConstraint, SolveOutcome, solve
 from .folds import config_cap, iter_fold_configurations, stratified_split_counts
-from .intervals import RationalInterval, interval_payload
+from .intervals import RationalInterval
 from .model import (
     AggregationMode,
     ConsistencyResult,
@@ -243,27 +245,6 @@ def _entries(scores: ScoreReport, registry: ScoreRegistry, family: str):
     return out
 
 
-def _targets(entries, scores: ScoreReport, uncertainty: Uncertainty):
-    """Per-score target intervals keyed by the reported id; mirrors the
-    single-testset rule including the out-of-range violation evidence."""
-    targets: dict[str, RationalInterval] = {}
-    for rid, definition in entries:
-        value = scores.value(rid)
-        radius = uncertainty.radius_for(rid) + uncertainty.solver_slack
-        raw = RationalInterval.closed(value - radius, value + radius)
-        target = raw.intersect(definition.range)
-        if target.is_empty:
-            return targets, {
-                "score": rid,
-                "reason": "reported value lies outside the theoretical range",
-                "reported": str(value),
-                "radius": str(radius),
-                "theoretical_range": interval_payload(definition.range),
-            }
-        targets[rid] = target
-    return targets, None
-
-
 def _require_affine(entries) -> None:
     for rid, definition in entries:
         if not definition.linear:
@@ -271,13 +252,6 @@ def _require_affine(entries) -> None:
                 f"score {rid!r} is not affine in the confusion counts; "
                 f"macro averages and fold means only yield linear "
                 f"constraints for affine scores (acc, sens, spec, bacc, ...)")
-
-
-def _with_evidence(result: ConsistencyResult, extra: dict) -> ConsistencyResult:
-    evidence = dict(result.evidence or {})
-    evidence.update(extra)
-    return ConsistencyResult(result.inconsistency, result.procedure,
-                             witness=result.witness, evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +267,7 @@ def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
     its target interval? Decided exactly by enumerating the pooled trace."""
     registry = registry or default_registry()
     entries = _entries(scores, registry, "micro")
-    targets, violation = _targets(entries, scores, uncertainty)
+    targets, violation = compute_targets(scores, uncertainty, dict(entries))
     procedure = "multiclass_micro"
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
@@ -356,7 +330,8 @@ def _fill_offdiagonal(supply: Sequence[int], demand: Sequence[int]
     return out
 
 
-def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries, targets):
+def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
+                 targets) -> SolveOutcome:
     """Integer feasibility of macro-average (fold-mean) constraints, one
     confusion matrix per fold.
 
@@ -368,9 +343,9 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries, targets):
     sufficient as well as necessary, so nothing real is lost, and a witness
     matrix is reconstructed afterwards from the margins.
 
-    Returns ("excluded", info) when a reported score is structurally
-    undefined for some class on some fold (no finite average exists there),
-    ("infeasible", evidence), or ("feasible", [matrix per fold]).
+    The outcome is excluded when a reported score is structurally
+    undefined for some class on some fold (no finite average exists
+    there); a feasible outcome's solution is one matrix per fold.
     """
     k = len(fold_counts)
     num_classes = len(fold_counts[0])
@@ -421,14 +396,14 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries, targets):
             for i, c in enumerate(counts):
                 abc = definition.affine_coefficients(c, total - c)
                 if abc is None:
-                    return "excluded", {
+                    return SolveOutcome(excluded=True, evidence={
                         "score": rid,
                         "fold": j,
                         "class": i,
                         "reason": "score undefined for this class on this "
                                   "fold for every outcome, so no finite "
                                   "average exists",
-                    }
+                    })
                 a, b, cst = abc
                 # tn_i = (total - c_i) - fp_i
                 coeffs[tp_var(j, i)] += weight * a
@@ -439,9 +414,9 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries, targets):
 
     assignment = solve(domains, constraints)
     if assignment is None:
-        return "infeasible", {
+        return SolveOutcome(evidence={
             "reason": "no integer confusion matrix reproduces every "
-                      "reported average"}
+                      "reported average"})
     matrices = []
     for j, counts in enumerate(fold_counts):
         tps = [assignment[tp_var(j, i)] for i in range(num_classes)]
@@ -451,7 +426,7 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries, targets):
         for i in range(num_classes):
             matrix[i][i] = tps[i]
         matrices.append(matrix)
-    return "feasible", matrices
+    return SolveOutcome(matrices)
 
 
 def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
@@ -463,15 +438,15 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
     registry = registry or default_registry()
     entries = _entries(scores, registry, "macro")
     _require_affine(entries)
-    targets, violation = _targets(entries, scores, uncertainty)
+    targets, violation = compute_targets(scores, uncertainty, dict(entries))
     procedure = "multiclass_macro"
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
     outcome = _solve_macro([testset.class_counts], entries, targets)
-    if outcome[0] == "feasible":
+    if outcome.feasible:
         return ConsistencyResult(False, procedure,
-                                 witness={"matrix": outcome[1][0]})
-    return ConsistencyResult(True, procedure, evidence=outcome[1])
+                                 witness={"matrix": outcome.solution[0]})
+    return ConsistencyResult(True, procedure, evidence=outcome.evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -516,34 +491,27 @@ def _micro_fold_witness(traces: Sequence[int], fold_totals: Sequence[int],
 
 
 def _check_folded_mos(vectors: Sequence[tuple[int, ...]], num_classes: int,
-                      family: str, entries, targets, procedure: str,
-                      extra: dict, cache: dict):
-    """One fold layout under mean-of-scores; returns a ConsistencyResult or
-    None when the layout is excluded (macro score undefined on a fold)."""
+                      family: str, entries, targets,
+                      cache: dict) -> SolveOutcome:
+    """One fold layout under mean-of-scores; a feasible outcome's solution
+    is the witness entry of each fold. Only macro layouts can be excluded
+    (a macro score undefined on a fold)."""
     if family == "micro":
         fold_totals = [sum(v) for v in vectors]
         domains, constraints = _micro_mean_system(
             fold_totals, num_classes, entries, targets, cache)
         assignment = solve(domains, constraints)
         if assignment is None:
-            return ConsistencyResult(True, procedure, evidence={
+            return SolveOutcome(evidence={
                 "reason": "no per-fold traces satisfy every fold-mean "
-                          "constraint", **extra})
-        return ConsistencyResult(
-            False, procedure,
-            witness={"folds": _micro_fold_witness(
-                assignment, fold_totals, num_classes)},
-            evidence=extra or None)
+                          "constraint"})
+        return SolveOutcome(_micro_fold_witness(assignment, fold_totals,
+                                                num_classes))
     outcome = _solve_macro(vectors, entries, targets)
-    if outcome[0] == "excluded":
-        return None, outcome[1]
-    if outcome[0] == "infeasible":
-        return ConsistencyResult(True, procedure,
-                                 evidence={**outcome[1], **extra})
-    folds = [{"class_counts": list(v), "matrix": m}
-             for v, m in zip(vectors, outcome[1])]
-    return ConsistencyResult(False, procedure, witness={"folds": folds},
-                             evidence=extra or None)
+    if not outcome.feasible:
+        return outcome
+    return SolveOutcome([{"class_counts": list(v), "matrix": m}
+                         for v, m in zip(vectors, outcome.solution)])
 
 
 def check_multiclass_dataset(testset: MulticlassTestset,
@@ -579,14 +547,14 @@ def check_multiclass_dataset(testset: MulticlassTestset,
         # Pooling one-vs-rest counts over folds reproduces the parent
         # testset whatever the split, exactly as in the binary case.
         result = single(testset, scores, uncertainty, registry)
-        return _with_evidence(result, {
-            "fold_aggregation": "score_of_means",
+        return replace(result, evidence={
+            **(result.evidence or {}), "fold_aggregation": "score_of_means",
             "pooled_class_counts": list(testset.class_counts)})
 
     entries = _entries(scores, registry, family)
     if family == "macro":
         _require_affine(entries)
-    targets, violation = _targets(entries, scores, uncertainty)
+    targets, violation = compute_targets(scores, uncertainty, dict(entries))
     procedure = f"multiclass_{family}_mos"
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
@@ -617,11 +585,10 @@ def check_multiclass_dataset(testset: MulticlassTestset,
                                         targets, procedure, cache, cap)
 
     outcome = _check_folded_mos(vectors, num_classes, family, entries,
-                                targets, procedure, extra, cache)
-    if isinstance(outcome, ConsistencyResult):
-        return outcome
-    _, info = outcome  # macro score undefined on a known fold
-    return ConsistencyResult(True, procedure, evidence={**info, **extra})
+                                targets, cache)
+    witness = {"folds": outcome.solution} if outcome.feasible else None
+    return ConsistencyResult(not outcome.feasible, procedure, witness=witness,
+                             evidence={**(outcome.evidence or {}), **extra})
 
 
 def _check_unknown_folds_mos(testset: MulticlassTestset, k: int, family: str,
@@ -644,15 +611,14 @@ def _check_unknown_folds_mos(testset: MulticlassTestset, k: int, family: str,
                 continue
             seen_totals.add(sizes)
         outcome = _check_folded_mos(list(config), num_classes, family,
-                                    entries, targets, procedure, {}, cache)
-        if not isinstance(outcome, ConsistencyResult):
+                                    entries, targets, cache)
+        if outcome.excluded:
             excluded += 1
-            continue
-        if outcome.consistent:
-            witness = {"configuration": [list(v) for v in config],
-                       **(outcome.witness or {})}
+        elif outcome.feasible:
             return ConsistencyResult(
-                False, procedure, witness=witness,
+                False, procedure,
+                witness={"configuration": [list(v) for v in config],
+                         "folds": outcome.solution},
                 evidence={"configurations_tried": tried})
     return ConsistencyResult(True, procedure, evidence={
         "configurations_tried": tried,

@@ -170,8 +170,9 @@ def check_regression(ctx: RegressionContext, scores: ScoreReport,
             mse_info = mse_info.intersect(intervals["mse"])
         if "rmse" in intervals:
             mse_info = mse_info.intersect(_square(intervals["rmse"]))
-        scale = RationalInterval.point(Fraction(1) / ctx.target_variance)
-        implied = RationalInterval.point(1).sub(mse_info.mul(scale))
+        # without mse or rmse, mse_info is [0, +inf) and so is its scaling
+        implied = RationalInterval.point(1).sub(
+            mse_info.scale(1 / ctx.target_variance))
         if implied.intersect(intervals["r2"]).is_empty:
             return inconsistent("r2_identity", {
                 "implied_r2": interval_payload(implied),

@@ -16,14 +16,16 @@ Three facts about the supported scores carry the engine:
 * a score's denominators are sums of nonnegative counts, so undefinedness
   only occurs at specific boundary counts (e.g. ppv at tp = 0, tn = n).
 
-Interval evaluation uses corner evaluation plus the monotone directions
-declared in the data file; a corner where the score is undefined widens to
-the theoretical range endpoint, which keeps the result a superset of all
-attainable values. Inversion (invert_tp / invert_tn) evaluates the two
-boundary values of the inverted variable directly and binary-searches the
-interior, where corner values are defined and monotone; the returned integer
-interval is the hull of everything that might satisfy the target, which is
-all the engine needs because final verification is pointwise and exact.
+Every definition must declare its monotone direction in tp and in tn
+(1, -1 or 0); a definition without one is rejected at construction.
+Interval evaluation uses corner evaluation plus those directions; a corner
+where the score is undefined widens to the theoretical range endpoint,
+which keeps the result a superset of all attainable values. Inversion
+(invert_tp / invert_tn) evaluates the two boundary values of the inverted
+variable directly and binary-searches the interior, where corner values
+are defined and monotone; the returned integer interval is the hull of
+everything that might satisfy the target, which is all the engine needs
+because final verification is pointwise and exact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UnknownScoreId
 from .intervals import EMPTY, RationalInterval
-from .values import ExactValue, sqrt_fraction, sqrt_lower, sqrt_upper, times_sqrt
+from .values import ExactValue, sqrt_fraction, times_sqrt
 
 _COUNT_VARS = ("tp", "tn", "p", "n", "fp", "fn")
 
@@ -155,12 +157,20 @@ def _compile(expr: AstNode):
 
 class ScoreDefinition:
     """One score: identity, formula, theoretical range, linearity flag and
-    monotone directions, plus the compiled evaluators."""
+    monotone directions, plus the compiled evaluators.
+
+    mono_tp and mono_tn must each be 1 (nondecreasing), -1 (nonincreasing)
+    or 0 (constant); anything else raises ValueError."""
 
     def __init__(self, score_id: str, name: str, formula: AstNode,
                  range_: RationalInterval, linear: bool,
-                 mono_tp: Optional[int], mono_tn: Optional[int],
+                 mono_tp: int, mono_tn: int,
                  default_enabled: bool = True):
+        for axis, direction in (("tp", mono_tp), ("tn", mono_tn)):
+            if isinstance(direction, bool) or direction not in (-1, 0, 1):
+                raise ValueError(
+                    f"score {score_id!r}: monotone direction in {axis} must "
+                    f"be -1, 0 or 1, got {direction!r}")
         self.score_id = score_id
         self.name = name
         self.formula = formula
@@ -230,8 +240,6 @@ class ScoreDefinition:
         tn_dom = tn_box.intersect(RationalInterval.closed(0, n))
         if tp_dom.is_empty or tn_dom.is_empty:
             return EMPTY
-        if self.mono_tp is None or self.mono_tn is None:
-            return self._interval_from_ast(tp_dom, tn_dom, p, n)
         lo_tp = tp_dom.lo if self.mono_tp >= 0 else tp_dom.hi
         hi_tp = tp_dom.hi if self.mono_tp >= 0 else tp_dom.lo
         lo_tn = tn_dom.lo if self.mono_tn >= 0 else tn_dom.hi
@@ -241,18 +249,6 @@ class ScoreDefinition:
         lo = self.range.lo if v_lo is None else _outward_lo(v_lo)
         hi = self.range.hi if v_hi is None else _outward_hi(v_hi)
         return RationalInterval(lo, hi)
-
-    def _interval_from_ast(self, tp_dom, tn_dom, p, n) -> RationalInterval:
-        # Fallback for definitions without monotone metadata: naive interval
-        # arithmetic over the expression tree. Sound, not tight.
-        env = {
-            "tp": tp_dom, "tn": tn_dom,
-            "p": RationalInterval.point(p), "n": RationalInterval.point(n),
-            "fp": RationalInterval.point(n).sub(tn_dom),
-            "fn": RationalInterval.point(p).sub(tp_dom),
-        }
-        out = _ast_interval(self.formula, env, self.range)
-        return out.intersect(self.range)
 
     # -- inversion -----------------------------------------------------------
 
@@ -265,7 +261,7 @@ class ScoreDefinition:
         size = p if axis == "tp" else n
         full = RationalInterval.closed(0, size)
         mono_main = self.mono_tp if axis == "tp" else self.mono_tn
-        if mono_main is None or mono_main == 0:
+        if mono_main == 0:
             return full
         if target.is_empty:
             return EMPTY
@@ -275,8 +271,8 @@ class ScoreDefinition:
         if other.is_empty:
             return EMPTY
         mono_other = self.mono_tn if axis == "tp" else self.mono_tp
-        o_min = other.lo if (mono_other or 0) >= 0 else other.hi
-        o_max = other.hi if (mono_other or 0) >= 0 else other.lo
+        o_min = other.lo if mono_other >= 0 else other.hi
+        o_max = other.hi if mono_other >= 0 else other.lo
 
         def val(main, other_v):
             if axis == "tp":
@@ -350,7 +346,10 @@ class ScoreDefinition:
             None if lo is None else Fraction(lo),
             None if hi is None else Fraction(hi),
         )
-        mono = entry.get("monotone") or {}
+        mono = entry.get("monotone")
+        if not isinstance(mono, Mapping):
+            raise ValueError(
+                f"score {entry['id']!r}: 'monotone' is required, got {mono!r}")
         return ScoreDefinition(
             entry["id"], entry.get("name", entry["id"]), entry["formula"],
             rng, bool(entry["linear"]),
@@ -391,37 +390,6 @@ def _last_true(lo: int, hi: int, pred) -> Optional[int]:
         else:
             hi = mid - 1
     return lo
-
-
-def _ast_interval(node: AstNode, env, range_: RationalInterval) -> RationalInterval:
-    if isinstance(node, str):
-        if node in env:
-            return env[node]
-        return RationalInterval.point(Fraction(node))
-    if isinstance(node, int):
-        return RationalInterval.point(node)
-    op = node[0]
-    if op == "neg":
-        return _ast_interval(node[1], env, range_).neg()
-    if op == "sqrt":
-        inner = _ast_interval(node[1], env, range_)
-        inner = inner.intersect(RationalInterval.at_least(0))
-        if inner.is_empty:
-            return range_
-        lo = Fraction(0) if inner.lo is None else sqrt_lower(inner.lo)
-        hi = None if inner.hi is None else sqrt_upper(inner.hi)
-        return RationalInterval(lo, hi)
-    a = _ast_interval(node[1], env, range_)
-    b = _ast_interval(node[2], env, range_)
-    if op == "+":
-        return a.add(b)
-    if op == "-":
-        return a.sub(b)
-    if op == "*":
-        return a.mul(b)
-    out = a.div(b)
-    # dividing by exactly [0,0] means undefined everywhere; widen to range
-    return range_ if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,15 @@ def test_r2_identity_works_through_rmse():
     assert bad.evidence["relation"] == "r2_identity"
 
 
+def test_r2_alone_scales_the_unbounded_mse_range():
+    # without mse or rmse the identity only knows mse >= 0, so the implied
+    # r2 interval is (-inf, 1], which contains any legal r2
+    res = check_regression(RegressionContext(target_variance=4),
+                           ScoreReport.of(r2="0.5"), U(4))
+    assert not res.inconsistency
+    assert res.evidence is None
+
+
 def test_negative_r2_is_legal():
     # Worse than predicting the mean is embarrassing, not impossible.
     res = check_regression(RegressionContext(target_variance=1),

@@ -11,6 +11,7 @@ from scoresleuth.errors import UnknownScoreId
 from scoresleuth.intervals import RationalInterval
 from scoresleuth.scores import (
     ConfusionCounts,
+    ScoreDefinition,
     default_registry,
     evaluate,
     evaluate_interval,
@@ -135,14 +136,25 @@ def test_monotone_directions_exhaustive(registry):
         d = registry.get(sid)
         for tp, tn in itertools.product(range(p), range(n + 1)):
             a, b = d.value(tp, tn, p, n), d.value(tp + 1, tn, p, n)
-            if a is None or b is None or d.mono_tp is None:
+            if a is None or b is None:
                 continue
             assert d.mono_tp * _sign(b, a) >= 0, (sid, tp, tn, "tp")
         for tp, tn in itertools.product(range(p + 1), range(n)):
             a, b = d.value(tp, tn, p, n), d.value(tp, tn + 1, p, n)
-            if a is None or b is None or d.mono_tn is None:
+            if a is None or b is None:
                 continue
             assert d.mono_tn * _sign(b, a) >= 0, (sid, tp, tn, "tn")
+
+
+def test_monotone_metadata_is_required(registry):
+    entry = registry.get("acc").to_payload()
+    assert ScoreDefinition.from_payload(entry).mono_tp == 1
+    missing = {k: v for k, v in entry.items() if k != "monotone"}
+    with pytest.raises(ValueError):
+        ScoreDefinition.from_payload(missing)
+    for bad in ({"tp": 2, "tn": 1}, {"tp": 1}, {"tp": 1, "tn": True}):
+        with pytest.raises(ValueError):
+            ScoreDefinition.from_payload(dict(entry, monotone=bad))
 
 
 def _sign(b, a):
