@@ -29,7 +29,9 @@ from .errors import (
     TooManyConfigurations,
     UnsupportedExperiment,
 )
-from .feasibility import AffineConstraint, SolveOutcome, propagate, solve
+# Nothing here calls `propagate`, but perfbench/tracing.py patches it in
+# this module's namespace, so the name stays bound.
+from .feasibility import AffineConstraint, SolveOutcome, propagate, solve  # noqa: F401
 from .folds import (
     config_cap,
     enumerate_fold_configurations,
@@ -74,11 +76,11 @@ def _require_linear(scores: ScoreReport, registry: ScoreRegistry) -> None:
                 f"scores (acc, sens, spec, bacc, ...)")
 
 
-# A group is (coefficient, folds, labels): every fold's score enters each
-# mean constraint with the same rational coefficient. A plain k-fold mean
-# is one group with coefficient 1/k; dataset-level means add one group per
+# A group is (coefficient, folds): every fold's score enters each mean
+# constraint with the same rational coefficient. A plain k-fold mean is
+# one group with coefficient 1/k; dataset-level means add one group per
 # dataset with coefficients 1/D or 1/(D*k_d).
-_Group = tuple[Fraction, tuple[Testset, ...], list[str]]
+_Group = tuple[Fraction, tuple[Testset, ...]]
 
 
 def _solve_mos_groups(groups: Sequence[_Group], targets,
@@ -91,18 +93,16 @@ def _solve_mos_groups(groups: Sequence[_Group], targets,
     group.
     """
     domains: list[tuple[int, int]] = []
-    labels: list[str] = []
-    for _, folds, fold_labels in groups:
-        for fold, label in zip(folds, fold_labels):
+    for _, folds in groups:
+        for fold in folds:
             domains.append((0, fold.p))
             domains.append((0, fold.n))
-            labels.append(label)
     constraints = []
     for score_id, target in targets.items():
         definition = registry.get(score_id)
         coeffs: list[Fraction] = []
         constant = Fraction(0)
-        for coeff, folds, _ in groups:
+        for coeff, folds in groups:
             for fold in folds:
                 abc = definition.affine_coefficients(fold.p, fold.n)
                 if abc is None:
@@ -119,29 +119,19 @@ def _solve_mos_groups(groups: Sequence[_Group], targets,
         constraints.append(
             AffineConstraint(tuple(coeffs), constant, target, label=score_id))
 
-    root = propagate(domains, constraints)
-    if root is None:
-        return SolveOutcome(evidence={
-            "reason": "bound propagation proves no assignment exists"})
-    dom_payload = {}
-    for idx, label in enumerate(labels):
-        dom_payload[f"{label}.tp"] = list(root[2 * idx])
-        dom_payload[f"{label}.tn"] = list(root[2 * idx + 1])
     assignment = solve(domains, constraints)
     if assignment is None:
         return SolveOutcome(evidence={
-            "reason": "no integer assignment satisfies all mean constraints",
-            "propagated_domains": dom_payload,
-        })
+            "reason": "no integer assignment satisfies all mean constraints"})
     shaped: list[list[dict]] = []
     idx = 0
-    for _, folds, _ in groups:
+    for _, folds in groups:
         fold_counts = []
         for _ in folds:
             fold_counts.append({"tp": assignment[idx], "tn": assignment[idx + 1]})
             idx += 2
         shaped.append(fold_counts)
-    return SolveOutcome(shaped, {"propagated_domains": dom_payload})
+    return SolveOutcome(shaped, {})
 
 
 def check_mos_known_folds(folds: Sequence[Testset], scores: ScoreReport,
@@ -163,7 +153,7 @@ def check_mos_known_folds(folds: Sequence[Testset], scores: ScoreReport,
         return ConsistencyResult(True, procedure,
                                  evidence={**violation, **extra})
     k = len(folds)
-    groups = [(Fraction(1, k), tuple(folds), [f"fold{j}" for j in range(k)])]
+    groups = [(Fraction(1, k), tuple(folds))]
     outcome = _solve_mos_groups(groups, targets, registry)
     witness = {"folds": outcome.solution[0]} if outcome.feasible else None
     return ConsistencyResult(not outcome.feasible, procedure, witness=witness,
@@ -189,14 +179,13 @@ def check_mos_unknown_folds(testset: Testset, k: int, scores: ScoreReport,
         return ConsistencyResult(True, procedure, evidence=violation)
     limit = config_cap(cap)
     tried = excluded = 0
-    labels = [f"fold{j}" for j in range(k)]
     for config in iter_fold_configurations((testset.p, testset.n), k):
         tried += 1
         if tried > limit:
             raise TooManyConfigurations(tried, limit)
         folds = tuple(Testset(fp, fn) for fp, fn in config)
-        outcome = _solve_mos_groups([(Fraction(1, k), folds, labels)],
-                                    targets, registry)
+        outcome = _solve_mos_groups([(Fraction(1, k), folds)], targets,
+                                    registry)
         if outcome.excluded:
             excluded += 1
         elif outcome.feasible:
@@ -292,7 +281,7 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
     fold_mos = spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES
     # alternatives[d]: list of (group, witness_kind, config_sizes) choices
     alternatives: list[list[tuple[_Group, str, Optional[list]]]] = []
-    for d, ds in enumerate(spec.datasets):
+    for ds in spec.datasets:
         scheme = ds.folding
         if scheme.is_folded and fold_mos:
             if scheme.kind == "known_folds":
@@ -305,21 +294,17 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
                 configs = enumerate_fold_configurations(
                     ds.testset.p, ds.testset.n, k, cap=cap)
                 alternatives.append([
-                    ((Fraction(1, D * k), cfg,
-                      [f"d{d}.fold{j}" for j in range(k)]),
-                     "config", [[f.p, f.n] for f in cfg])
+                    ((Fraction(1, D * k), cfg), "config",
+                     [[f.p, f.n] for f in cfg])
                     for cfg in configs])
                 continue
             k = len(folds)
-            alternatives.append([
-                ((Fraction(1, D * k), folds,
-                  [f"d{d}.fold{j}" for j in range(k)]), "folds", None)])
+            alternatives.append([((Fraction(1, D * k), folds), "folds", None)])
         else:
             # No folding, or fold-level SoM: the dataset-level score is a
             # plain score of the dataset's (pooled) totals.
             kind = "pooled" if scheme.is_folded else "plain"
-            alternatives.append([
-                ((Fraction(1, D), (ds.testset,), [f"d{d}"]), kind, None)])
+            alternatives.append([((Fraction(1, D), (ds.testset,)), kind, None)])
 
     limit = config_cap(cap)
     combos = 1

@@ -79,9 +79,6 @@ class RationalInterval:
             return False
         return True
 
-    def is_point(self) -> bool:
-        return not self.is_empty and self.lo is not None and self.lo == self.hi
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "RationalInterval") -> "RationalInterval":

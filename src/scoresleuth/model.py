@@ -207,13 +207,6 @@ class FoldingScheme:
     def is_folded(self) -> bool:
         return self.kind != "none"
 
-    @property
-    def fold_count(self) -> Optional[int]:
-        if self.kind == "known_folds":
-            return len(self.folds)
-        return self.k
-
-
 class AggregationMode(Enum):
     SCORE_OF_MEANS = "score_of_means"
     MEAN_OF_SCORES = "mean_of_scores"
@@ -274,6 +267,28 @@ def _stratified_has_empty_fold(ts: AnyTestset, k: int) -> bool:
     return all(c < k for c in _class_totals(ts))
 
 
+def check_fold_totals(testset: AnyTestset, folds: Sequence[AnyTestset],
+                      context: str = "") -> None:
+    """Raise FoldTotalsMismatch unless every known fold has the parent's
+    kind and number of classes and the fold class counts sum to the
+    parent's; `context` prefixes the message."""
+    want = _class_totals(testset)
+    got = [0] * len(want)
+    for fold in folds:
+        totals = _class_totals(fold)
+        if len(totals) != len(want) or isinstance(
+                testset, MulticlassTestset) != isinstance(fold, MulticlassTestset):
+            raise FoldTotalsMismatch(
+                f"{context}fold shape {fold!r} does not match the parent "
+                f"testset {testset!r}")
+        for i, c in enumerate(totals):
+            got[i] += c
+    if tuple(got) != want:
+        raise FoldTotalsMismatch(
+            f"{context}fold totals {tuple(got)} differ from parent totals "
+            f"{want}")
+
+
 def validate_experiment(spec: ExperimentSpec) -> ExperimentSpec:
     """Check every invariant of an experiment description.
 
@@ -292,21 +307,7 @@ def validate_experiment(spec: ExperimentSpec) -> ExperimentSpec:
             raise SpecError(f"dataset {idx}: not a FoldingScheme: {scheme!r}")
         any_folding = any_folding or scheme.is_folded
         if scheme.kind == "known_folds":
-            want = _class_totals(ds.testset)
-            got = [0] * len(want)
-            for fold in scheme.folds:
-                totals = _class_totals(fold)
-                if len(totals) != len(want) or ds.is_multiclass != isinstance(
-                        fold, MulticlassTestset):
-                    raise FoldTotalsMismatch(
-                        f"dataset {idx}: fold shape {fold!r} does not match "
-                        f"the parent testset {ds.testset!r}")
-                for i, c in enumerate(totals):
-                    got[i] += c
-            if tuple(got) != want:
-                raise FoldTotalsMismatch(
-                    f"dataset {idx}: fold totals {tuple(got)} differ from "
-                    f"parent totals {want}")
+            check_fold_totals(ds.testset, scheme.folds, f"dataset {idx}: ")
         elif scheme.kind in ("stratified_kfold", "unknown_folds_kfold"):
             k = scheme.k
             if k > ds.testset.size:
@@ -428,11 +429,6 @@ class ScoreReport:
 
     def items(self):
         return self._values.items()
-
-    def subset(self, ids: Sequence[str]) -> "ScoreReport":
-        return ScoreReport({
-            i: self._texts[i] if self._texts[i] is not None else self._values[i]
-            for i in ids})
 
     def __contains__(self, score_id: str) -> bool:
         return score_id in self._values
@@ -580,33 +576,7 @@ def experiment_from_payload(payload: Mapping) -> ExperimentSpec:
                           dataset_aggregation=_mode("dataset_aggregation"))
 
 
-def report_to_payload(report: ScoreReport) -> dict:
-    out = {}
-    for score_id, value in report.items():
-        text = report.text(score_id)
-        out[score_id] = text if text is not None else str(value)
-    return out
-
-
 def report_from_payload(payload: Mapping) -> ScoreReport:
     if not isinstance(payload, Mapping):
         raise ParseError(f"scores must be an object, got {payload!r}")
     return ScoreReport(payload)
-
-
-def uncertainty_to_payload(unc: Uncertainty) -> dict:
-    out: dict = {"default_radius": str(unc.default_radius)}
-    if unc.per_score_radius:
-        out["per_score_radius"] = {
-            k: str(v) for k, v in sorted(unc.per_score_radius.items())}
-    if unc.solver_slack:
-        out["solver_slack"] = str(unc.solver_slack)
-    return out
-
-
-def uncertainty_from_payload(payload: Mapping) -> Uncertainty:
-    if not isinstance(payload, Mapping):
-        raise ParseError(f"uncertainty must be an object, got {payload!r}")
-    return Uncertainty(payload.get("default_radius", 0),
-                       per_score_radius=payload.get("per_score_radius"),
-                       solver_slack=payload.get("solver_slack", 0))

@@ -40,7 +40,6 @@ from typing import Optional, Sequence
 
 from .binary import compute_targets
 from .errors import (
-    FoldTotalsMismatch,
     NonlinearScoreUnsupported,
     TooManyConfigurations,
     UnsupportedExperiment,
@@ -55,6 +54,7 @@ from .model import (
     MulticlassTestset,
     ScoreReport,
     Uncertainty,
+    check_fold_totals,
 )
 from .scores import ScoreDefinition, ScoreRegistry, default_registry
 from .values import _sqrt_if_perfect
@@ -562,18 +562,7 @@ def check_multiclass_dataset(testset: MulticlassTestset,
     cache: dict = {}
 
     if scheme.kind == "known_folds":
-        totals = [0] * num_classes
-        for fold in scheme.folds:
-            if (not isinstance(fold, MulticlassTestset)
-                    or fold.num_classes != num_classes):
-                raise FoldTotalsMismatch(
-                    f"fold {fold!r} does not match the parent testset")
-            for i, c in enumerate(fold.class_counts):
-                totals[i] += c
-        if tuple(totals) != testset.class_counts:
-            raise FoldTotalsMismatch(
-                f"fold totals {tuple(totals)} differ from parent totals "
-                f"{testset.class_counts}")
+        check_fold_totals(testset, scheme.folds)
         vectors = [f.class_counts for f in scheme.folds]
         extra: dict = {"folding": "known_folds"}
     elif scheme.kind == "stratified_kfold":

@@ -1,4 +1,4 @@
-"""Score registry: exact evaluation, interval evaluation, inversion.
+"""Score registry: exact evaluation and inversion.
 
 Every supported score is defined by an expression tree over the confusion
 counts (tp, tn, and the derived fp = n - tn, fn = p - tp) plus the class
@@ -18,14 +18,15 @@ Three facts about the supported scores carry the engine:
 
 Every definition must declare its monotone direction in tp and in tn
 (1, -1 or 0); a definition without one is rejected at construction.
-Interval evaluation uses corner evaluation plus those directions; a corner
-where the score is undefined widens to the theoretical range endpoint,
-which keeps the result a superset of all attainable values. Inversion
-(invert_tp / invert_tn) evaluates the two boundary values of the inverted
-variable directly and binary-searches the interior, where corner values
-are defined and monotone; the returned integer interval is the hull of
-everything that might satisfy the target, which is all the engine needs
-because final verification is pointwise and exact.
+Inversion (ScoreDefinition.invert) bounds one count given a box for the
+other with a single exact corner test: the score at the minimising corner
+must not exceed the target and the score at the maximising corner must
+reach it, where a corner at which the score is undefined widens to the
+range endpoint. The two boundary values of the inverted count take the
+test directly and the interior, where corner values are defined and
+monotone, is binary-searched; the returned integer interval is the hull
+of everything that might satisfy the target, which is all the engine
+needs because final verification is pointwise and exact.
 """
 
 from __future__ import annotations
@@ -229,27 +230,6 @@ class ScoreDefinition:
             return None
         return va - c, vb - c, c
 
-    # -- interval evaluation -------------------------------------------------
-
-    def interval(self, tp_box: RationalInterval, tn_box: RationalInterval,
-                 p: int, n: int) -> RationalInterval:
-        """A rational interval containing every defined score value on the
-        box; exact endpoints for rational-valued scores, outward-rounded by
-        one isqrt quantum for the sqrt-valued ones."""
-        tp_dom = tp_box.intersect(RationalInterval.closed(0, p))
-        tn_dom = tn_box.intersect(RationalInterval.closed(0, n))
-        if tp_dom.is_empty or tn_dom.is_empty:
-            return EMPTY
-        lo_tp = tp_dom.lo if self.mono_tp >= 0 else tp_dom.hi
-        hi_tp = tp_dom.hi if self.mono_tp >= 0 else tp_dom.lo
-        lo_tn = tn_dom.lo if self.mono_tn >= 0 else tn_dom.hi
-        hi_tn = tn_dom.hi if self.mono_tn >= 0 else tn_dom.lo
-        v_lo = self.value(lo_tp, lo_tn, p, n)
-        v_hi = self.value(hi_tp, hi_tn, p, n)
-        lo = self.range.lo if v_lo is None else _outward_lo(v_lo)
-        hi = self.range.hi if v_hi is None else _outward_hi(v_hi)
-        return RationalInterval(lo, hi)
-
     # -- inversion -----------------------------------------------------------
 
     def invert(self, target: RationalInterval, other_box: RationalInterval,
@@ -257,7 +237,27 @@ class ScoreDefinition:
         """Integer interval containing every value of `axis` ('tp' or 'tn')
         for which some value of the other count in other_box puts the score
         inside target. Returns the full [0, size] when the score does not
-        depend on the axis."""
+        depend on the axis.
+
+        Every m in [0, size] takes one corner test, ok(m) = a_ok(m) and
+        b_ok(m). With o_min and o_max the ends of other_box that minimise
+        and maximise the score (by the declared direction in the other
+        count), a_ok asks whether the score at (m, o_min) stays at or under
+        target.hi and b_ok whether the score at (m, o_max) reaches
+        target.lo; an undefined corner is widened to the range endpoint.
+
+        Soundness: if the score at (m, o) lies in target for some o in the
+        box, monotonicity in the other count puts the defined corner values
+        on either side of it, and a widened corner is a range endpoint,
+        which every value respects; so ok(m) holds. On the interior [1,
+        size-1] corner values are defined (undefinedness needs a boundary
+        count) or constantly widened, so a_ok and b_ok are monotone in m
+        and two bisections find the run where both hold; the boundary
+        counts 0 and size, where a corner may be undefined, are tested
+        directly. The result is the hull of the qualifying values, which
+        is all callers need because final verification is pointwise and
+        exact.
+        """
         size = p if axis == "tp" else n
         full = RationalInterval.closed(0, size)
         mono_main = self.mono_tp if axis == "tp" else self.mono_tn
@@ -279,38 +279,27 @@ class ScoreDefinition:
                 return self.value(main, other_v, p, n)
             return self.value(other_v, main, p, n)
 
-        def qualifies(m):
-            box = RationalInterval.point(m)
-            if axis == "tp":
-                iv = self.interval(box, other, p, n)
-            else:
-                iv = self.interval(other, box, p, n)
-            return not iv.intersect(target).is_empty
+        def b_ok(m):  # sup over other_box reaches target.lo
+            if target.lo is None:
+                return True
+            v = val(m, o_max)
+            if v is None:
+                return self.range.hi is None or self.range.hi >= target.lo
+            return v >= target.lo
+
+        def a_ok(m):  # inf over other_box stays under target.hi
+            if target.hi is None:
+                return True
+            v = val(m, o_min)
+            if v is None:
+                return self.range.lo is None or self.range.lo <= target.hi
+            return v <= target.hi
 
         pieces = []
-        if qualifies(0):
-            pieces.append((0, 0))
-        if size >= 1 and qualifies(size):
-            pieces.append((size, size))
+        for m in {0, size}:
+            if a_ok(m) and b_ok(m):
+                pieces.append((m, m))
         if size >= 2:
-            # Interior corner values are defined (undefinedness needs a
-            # boundary count) or constantly widened, hence monotone.
-            def b_ok(m):  # sup over other_box reaches target.lo
-                if target.lo is None:
-                    return True
-                v = val(m, o_max)
-                if v is None:
-                    return self.range.hi is None or self.range.hi >= target.lo
-                return v >= target.lo
-
-            def a_ok(m):  # inf over other_box stays under target.hi
-                if target.hi is None:
-                    return True
-                v = val(m, o_min)
-                if v is None:
-                    return self.range.lo is None or self.range.lo <= target.hi
-                return v <= target.hi
-
             if mono_main > 0:
                 t1 = _first_true(1, size - 1, b_ok)
                 t2 = _last_true(1, size - 1, a_ok)
@@ -356,14 +345,6 @@ class ScoreDefinition:
             mono.get("tp"), mono.get("tn"),
             bool(entry.get("default", True)),
         )
-
-
-def _outward_lo(v: ExactValue) -> Fraction:
-    return v if isinstance(v, Fraction) else v.bounds()[0]
-
-
-def _outward_hi(v: ExactValue) -> Fraction:
-    return v if isinstance(v, Fraction) else v.bounds()[1]
 
 
 def _first_true(lo: int, hi: int, pred) -> Optional[int]:
@@ -429,9 +410,6 @@ class ScoreRegistry:
     def definitions(self, default_only: bool = False) -> list[ScoreDefinition]:
         return [self._defs[i] for i in self.ids(default_only)]
 
-    def to_payload(self) -> dict:
-        return {"scores": [d.to_payload() for d in self._defs.values()]}
-
     @staticmethod
     def from_payload(payload: Mapping) -> "ScoreRegistry":
         return ScoreRegistry(
@@ -470,7 +448,7 @@ def default_registry() -> ScoreRegistry:
     return _default_registry
 
 
-# -- module-level conveniences bound to the default registry ----------------
+# -- module-level convenience bound to the default registry -----------------
 
 
 def evaluate(score_id: str, counts: ConfusionCounts,
@@ -478,24 +456,3 @@ def evaluate(score_id: str, counts: ConfusionCounts,
     """Exact value of a score on a confusion outcome; None when undefined."""
     reg = registry or default_registry()
     return reg.get(score_id).value_of(counts)
-
-
-def evaluate_interval(score_id: str, tp_box: RationalInterval,
-                      tn_box: RationalInterval, p: int, n: int,
-                      registry: Optional[ScoreRegistry] = None) -> RationalInterval:
-    reg = registry or default_registry()
-    return reg.get(score_id).interval(tp_box, tn_box, p, n)
-
-
-def invert_tp(score_id: str, target: RationalInterval,
-              tn_box: RationalInterval, p: int, n: int,
-              registry: Optional[ScoreRegistry] = None) -> RationalInterval:
-    reg = registry or default_registry()
-    return reg.get(score_id).invert(target, tn_box, p, n, "tp")
-
-
-def invert_tn(score_id: str, target: RationalInterval,
-              tp_box: RationalInterval, p: int, n: int,
-              registry: Optional[ScoreRegistry] = None) -> RationalInterval:
-    reg = registry or default_registry()
-    return reg.get(score_id).invert(target, tp_box, p, n, "tn")

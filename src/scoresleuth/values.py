@@ -6,7 +6,8 @@ the geometric mean of sensitivity and specificity, and Matthews correlation)
 involve a square root and are irrational in general. They are represented
 exactly as q * sqrt(r) with rational q and r, and compared against rationals
 by sign analysis plus squaring, so every membership decision the engine makes
-remains exact. No binary floating point enters any decision path.
+remains exact. A square root is never rounded to a rational bound, and no
+binary floating point enters any decision path.
 """
 
 from __future__ import annotations
@@ -25,21 +26,6 @@ def _sqrt_if_perfect(x: Fraction):
     if ra * ra == a and rb * rb == b:
         return Fraction(ra, rb)
     return None
-
-
-def sqrt_lower(x: Fraction) -> Fraction:
-    """Largest easily-computed rational <= sqrt(x), for x >= 0."""
-    a, b = x.numerator, x.denominator
-    return Fraction(math.isqrt(a * b), b)
-
-
-def sqrt_upper(x: Fraction) -> Fraction:
-    """Small rational >= sqrt(x), one quantum above sqrt_lower unless exact."""
-    a, b = x.numerator, x.denominator
-    r = math.isqrt(a * b)
-    if r * r == a * b:
-        return Fraction(r, b)
-    return Fraction(r + 1, b)
 
 
 def times_sqrt(q: Fraction, r: Fraction) -> ExactValue:
@@ -115,13 +101,6 @@ class SqrtRational:
 
     def __hash__(self):
         return hash(("sqrt", self.q > 0, self.q * self.q * self.r))
-
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        """Tight outward rational bounds (lo <= self <= hi)."""
-        s = self.q * self.q * self.r
-        if self.q > 0:
-            return sqrt_lower(s), sqrt_upper(s)
-        return -sqrt_upper(s), -sqrt_lower(s)
 
     def __float__(self):
         return float(self.q) * math.sqrt(float(self.r))

@@ -87,7 +87,8 @@ def test_known_folds_sens_mean_unreachable():
     res = check_mos_known_folds(folds, ScoreReport.of(sens="0.30"), U(2))
     assert res.inconsistency
     assert res.witness is None
-    assert "propagated_domains" in res.evidence or "reason" in res.evidence
+    assert res.evidence == {
+        "reason": "no integer assignment satisfies all mean constraints"}
 
 
 def test_known_folds_perfect_mean_forces_all_correct():

@@ -16,7 +16,8 @@ F = Fraction
 
 def test_constructors():
     assert I(1, 2).lo == 1 and I(1, 2).hi == 2
-    assert RationalInterval.point(F(1, 3)).is_point()
+    third = RationalInterval.point(F(1, 3))
+    assert third.lo == third.hi == F(1, 3)
     assert RationalInterval.at_least(0).hi is None
     assert RationalInterval.at_most(1).lo is None
     u = RationalInterval.unbounded()

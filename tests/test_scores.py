@@ -1,4 +1,4 @@
-"""Score registry: exact values, ranges, interval evaluation, inversion,
+"""Score registry: exact values, ranges, inversion against brute force,
 monotone directions, and the F-beta factory."""
 
 import itertools
@@ -8,16 +8,13 @@ from fractions import Fraction
 import pytest
 
 from scoresleuth.errors import UnknownScoreId
-from scoresleuth.intervals import RationalInterval
+from scoresleuth.intervals import EMPTY, RationalInterval
 from scoresleuth.scores import (
     ConfusionCounts,
     ScoreDefinition,
     default_registry,
     evaluate,
-    evaluate_interval,
     fbeta_definition,
-    invert_tn,
-    invert_tp,
 )
 from scoresleuth.values import SqrtRational
 
@@ -75,56 +72,94 @@ def test_score_ranges(registry):
     assert registry.get("youden").range == I(-1, 1)
 
 
-def test_evaluate_interval_examples():
-    assert evaluate_interval("sens", I(80, 82), I(0, 1000), 100, 1000) == \
-        I(F(4, 5), F(41, 50))
-    assert evaluate_interval("acc", I(0, 100), I(0, 1000), 100, 1000) == I(0, 1)
-    assert evaluate_interval("f1", I(81, 81), I(850, 850), 100, 1000) == \
-        I(F(162, 331), F(162, 331))
+def test_invert_examples(registry):
+    sens, spec, acc = (registry.get(i) for i in ("sens", "spec", "acc"))
+    assert sens.invert(I(F(8099, 10000), F(8101, 10000)),
+                       I(0, 1000), 100, 1000, "tp") == I(81, 81)
+    assert spec.invert(I(0, 1), I(0, 1000), 100, 1000, "tp") == I(0, 100)
+    assert acc.invert(I(F(8463, 10000), F(8465, 10000)),
+                      I(850, 850), 100, 1000, "tp") == I(81, 81)
+    assert acc.invert(I(F(8463, 10000), F(8465, 10000)),
+                      I(81, 81), 100, 1000, "tn") == I(850, 850)
 
 
-def test_invert_examples():
-    assert invert_tp("sens", I(F(8099, 10000), F(8101, 10000)),
-                     I(0, 1000), 100, 1000) == I(81, 81)
-    assert invert_tp("spec", I(0, 1), I(0, 1000), 100, 1000) == I(0, 100)
-    assert invert_tp("acc", I(F(8463, 10000), F(8465, 10000)),
-                     I(850, 850), 100, 1000) == I(81, 81)
+def test_invert_boundary_counts_use_exact_corners(registry):
+    """At tp = 0 and tp = p the corner values are compared exactly, also
+    when they are irrational: gm on p = 2, n = 3 ranges over 0 and
+    sqrt(tp/2 * tn/3), and a target just above the tn = 2 corner at tp = 2
+    excludes tp = 2 unless tn = 3 is allowed."""
+    gm = registry.get("gm")
+    corner = gm.value(2, 2, 2, 3)           # sqrt(2/3), irrational
+    assert isinstance(corner, SqrtRational)
+    lo = F(8165, 10000)                     # sqrt(2/3) = 0.81649...
+    assert corner < lo
+    target = I(lo, 1)
+    assert gm.invert(target, I(0, 2), 2, 3, "tp") == EMPTY
+    assert gm.invert(target, I(0, 3), 2, 3, "tp") == I(2, 2)
+    assert gm.invert(I(0, 0), I(1, 2), 2, 3, "tp") == I(0, 0)
+    # ppv is undefined at tp = 0, tn = n; that corner widens to the range,
+    # so tp = 0 stays; with two false positives ppv(0) = 0 drops it.
+    ppv = registry.get("ppv")
+    assert ppv.invert(I(F(1, 2), 1), I(4, 4), 3, 4, "tp") == I(0, 3)
+    assert ppv.invert(I(F(1, 2), 1), I(2, 2), 3, 4, "tp") == I(2, 3)
 
 
-def test_interval_containment_random_boxes(registry):
-    rng = random.Random(4)
-    ids = registry.ids(default_only=True)
-    for _ in range(200):
-        p, n = rng.randint(1, 12), rng.randint(1, 12)
-        t0, t1 = sorted(rng.sample(range(p + 1), 2)) if p else (0, 0)
-        u0, u1 = sorted(rng.sample(range(n + 1), 2)) if n else (0, 0)
-        sid = rng.choice(ids)
-        box = evaluate_interval(sid, I(t0, t1), I(u0, u1), p, n)
-        definition = registry.get(sid)
-        for tp in range(t0, t1 + 1):
-            for tn in range(u0, u1 + 1):
-                val = definition.value(tp, tn, p, n)
-                if val is not None:
-                    assert box.contains(val), (sid, tp, tn, p, n)
+def _random_box(rng, size):
+    """An other-count box: the full axis, a single point (often a boundary
+    count), a random subrange, one touching a boundary count, or a box
+    reaching past the axis with fractional endpoints."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return I(0, size)
+    if kind == 1:
+        return RationalInterval.point(rng.choice((0, size, rng.randint(0, size))))
+    if kind == 2:
+        a, b = sorted((rng.randint(0, size), rng.randint(0, size)))
+        return I(a, b)
+    if kind == 3:
+        r = rng.randint(0, size)
+        return rng.choice((I(0, r), I(r, size)))
+    a = F(rng.randint(-4, 2 * size + 2), 2)
+    return I(a, a + F(rng.randint(0, 2 * size + 4), 2))
+
+
+def _random_target(rng, definition, p, n):
+    kind = rng.randrange(4)
+    if kind == 0:
+        value = definition.value(rng.randint(0, p), rng.randint(0, n), p, n)
+        if isinstance(value, Fraction):
+            return RationalInterval.point(value)
+    if kind == 1:
+        return rng.choice((RationalInterval.at_least(F(rng.randint(-10, 10), 10)),
+                           RationalInterval.at_most(F(rng.randint(-10, 10), 10))))
+    lo = F(rng.randint(-12, 10), 10)
+    return I(lo, lo + F(rng.randint(0, 4), 10))
 
 
 def test_inversion_soundness_brute_force(registry):
+    """invert keeps every count that some other count in the box can
+    satisfy, on random boxes (single points and the boundary counts 0 and
+    size included) and targets (points, half-open and closed windows)."""
     rng = random.Random(11)
-    ids = registry.ids(default_only=True)
-    for _ in range(150):
-        p, n = rng.randint(1, 9), rng.randint(1, 9)
+    ids = registry.ids()
+    for _ in range(3000):
+        p, n = rng.randint(0, 8), rng.randint(0, 8)
         sid = rng.choice(ids)
         definition = registry.get(sid)
-        lo = F(rng.randint(-2, 9), 10)
-        target = I(lo, lo + F(rng.randint(1, 4), 10))
-        tp_box = invert_tp(sid, target, I(0, n), p, n)
-        tn_box = invert_tn(sid, target, I(0, p), p, n)
-        for tp in range(p + 1):
-            for tn in range(n + 1):
+        axis = rng.choice(("tp", "tn"))
+        size, other_size = (p, n) if axis == "tp" else (n, p)
+        other_box = _random_box(rng, other_size)
+        target = _random_target(rng, definition, p, n)
+        region = definition.invert(target, other_box, p, n, axis)
+        for m in range(size + 1):
+            for o in range(other_size + 1):
+                if not other_box.contains(o):
+                    continue
+                tp, tn = (m, o) if axis == "tp" else (o, m)
                 val = definition.value(tp, tn, p, n)
                 if val is not None and target.contains(val):
-                    assert tp_box.contains(tp), (sid, tp, tn, p, n)
-                    assert tn_box.contains(tn), (sid, tp, tn, p, n)
+                    assert region.contains(m), (sid, axis, tp, tn, p, n,
+                                                target, other_box)
 
 
 def test_monotone_directions_exhaustive(registry):

@@ -1,4 +1,4 @@
-"""Exact q*sqrt(r) values and directed rational sqrt bounds."""
+"""Exact q*sqrt(r) values and their exact comparisons."""
 
 from fractions import Fraction
 
@@ -7,8 +7,6 @@ import pytest
 from scoresleuth.values import (
     SqrtRational,
     sqrt_fraction,
-    sqrt_lower,
-    sqrt_upper,
     times_sqrt,
 )
 
@@ -51,11 +49,3 @@ def test_comparisons_between_sqrt_values():
     assert a < b
     assert times_sqrt(F(1), F(8)) == times_sqrt(F(2), F(2))
     assert times_sqrt(F(-2), F(3)) < times_sqrt(F(-1), F(3))
-
-
-def test_sqrt_directed_bounds():
-    for x in (F(2), F(3, 7), F(10, 3), F(1, 997)):
-        lo, hi = sqrt_lower(x), sqrt_upper(x)
-        assert lo * lo <= x <= hi * hi
-        assert lo <= hi
-    assert sqrt_lower(F(9, 4)) == F(3, 2) == sqrt_upper(F(9, 4))
