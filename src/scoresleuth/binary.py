@@ -8,9 +8,13 @@ outcome exists, full stop.
 The search is plain enumeration, expedited by interval pruning: each
 reported score's target interval is inverted onto the tp and tn axes
 (scores.ScoreDefinition.invert) and the integer boxes are shrunk to a
-fixpoint before any pair is visited. Pruning only discards pairs that
-provably fail some score, and every surviving pair is verified pointwise
-with exact arithmetic, so the shortcuts cannot change the verdict.
+fixpoint before any pair is visited; when either box empties, both are
+reported empty. Pruning only discards pairs that provably fail some score,
+and every surviving pair is verified pointwise with exact integer sign
+tests (scores.ScoreDefinition.within), so the shortcuts cannot change the
+verdict. Neither inversion nor verification builds a Fraction or a
+SqrtRational per pair: testsets with p up to about 10^4 and n up to about
+10^5 are decided in about a second.
 """
 
 from __future__ import annotations
@@ -73,7 +77,9 @@ def compute_targets(scores: ScoreReport, uncertainty: Uncertainty,
 
 def _prune_boxes(defs, targets, tp_box, tn_box, p, n):
     """Shrink the integer (tp, tn) boxes to a fixpoint of all score
-    inversions. Conservative: never discards a satisfying pair."""
+    inversions. Conservative: never discards a satisfying pair. When either
+    box empties no pair survives, so both come back EMPTY whichever axis
+    emptied first."""
     for _ in range(_MAX_PRUNE_ROUNDS):
         changed = False
         for score_id in sorted(targets):
@@ -84,13 +90,13 @@ def _prune_boxes(defs, targets, tp_box, tn_box, p, n):
             if new_tp != tp_box:
                 tp_box, changed = new_tp, True
             if tp_box.is_empty:
-                return tp_box, tn_box
+                return EMPTY, EMPTY
             new_tn = d.invert(target, tp_box, p, n, "tn").intersect(
                 tn_box).integer_clamp()
             if new_tn != tn_box:
                 tn_box, changed = new_tn, True
             if tn_box.is_empty:
-                return tp_box, tn_box
+                return EMPTY, EMPTY
         if not changed:
             break
     return tp_box, tn_box
@@ -99,11 +105,8 @@ def _prune_boxes(defs, targets, tp_box, tn_box, p, n):
 def _verify_pair(defs, targets, tp, tn, p, n) -> bool:
     """Exact pointwise check of every reported score at (tp, tn). A pair
     where some reported score is undefined cannot have produced the report."""
-    for score_id, target in targets.items():
-        value = defs[score_id].value(tp, tn, p, n)
-        if value is None or not target.contains(value):
-            return False
-    return True
+    return all(defs[score_id].within(target, tp, tn, p, n)
+               for score_id, target in targets.items())
 
 
 def _int_values(box: RationalInterval):

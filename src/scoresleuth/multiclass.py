@@ -88,11 +88,16 @@ def micro_counts(trace: int, total: int, num_classes: int) -> dict:
             "tn": total * (num_classes - 1) - miss}
 
 
+def _pooled_args(trace: int, total: int, num_classes: int) -> tuple:
+    """(tp, tn, p, n) of the pooled one-vs-rest outcome at a given trace."""
+    return (trace, total * (num_classes - 2) + trace, total,
+            total * (num_classes - 1))
+
+
 def micro_value(definition: ScoreDefinition, trace: int, total: int,
                 num_classes: int):
     """Exact micro-averaged score at a given trace (None when undefined)."""
-    return definition.value(trace, total * (num_classes - 2) + trace,
-                            total, total * (num_classes - 1))
+    return definition.value(*_pooled_args(trace, total, num_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +278,9 @@ def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
         return ConsistencyResult(True, procedure, evidence=violation)
     total, num_classes = testset.size, testset.num_classes
     for trace in range(total + 1):
-        ok = True
-        for rid, definition in entries:
-            value = micro_value(definition, trace, total, num_classes)
-            if value is None or not targets[rid].contains(value):
-                ok = False
-                break
-        if ok:
+        args = _pooled_args(trace, total, num_classes)
+        if all(definition.within(targets[rid], *args)
+               for rid, definition in entries):
             return ConsistencyResult(
                 False, procedure,
                 witness={"trace": trace,

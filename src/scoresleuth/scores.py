@@ -27,6 +27,16 @@ test directly and the interior, where corner values are defined and
 monotone, is binary-searched; the returned integer interval is the hull
 of everything that might satisfy the target, which is all the engine
 needs because final verification is pointwise and exact.
+
+The decisions themselves never build a value. ScoreDefinition.compare
+gives the exact sign of score - c for a rational threshold c from the
+compiled formula's integer output (cross-multiplication, and sign
+analysis then squares for the square-root kinds), and within() tests
+membership in a target with it; inversion corners, the pointwise
+verification of binary.py and the multiclass micro scan all use it at
+int counts. value() builds the Fraction or SqrtRational where a score is
+needed as a number: affine coefficients for fold means, evaluate(), the
+brute-force oracles and checkers that recompute a witness.
 """
 
 from __future__ import annotations
@@ -204,6 +214,83 @@ class ScoreDefinition:
         radicand = Fraction(rnum, rden)
         return times_sqrt(Fraction(tnum * rden, tden * rnum), radicand)
 
+    def compare(self, tp: int, tn: int, p: int, n: int,
+                cn: int, cd: int) -> Optional[int]:
+        """Sign (-1, 0 or 1) of value(tp, tn, p, n) - cn/cd for int counts
+        and an int threshold cn/cd with cd > 0; None exactly where value()
+        is None. Works on the compiled formula's integer output, so no
+        Fraction or SqrtRational is built and every product is an exact
+        int.
+
+        Proof sketch, per compiled kind; the None conditions are value()'s:
+
+        * rational, value N/D with D != 0: N/D - cn/cd = (N*cd - cn*D) /
+          (D*cd) and cd > 0, so the sign is that of N*cd - cn*D, flipped
+          when D < 0.
+        * sqrt, value sqrt(N/D) with D != 0 and N*D >= 0: the value is
+          nonnegative, so it lies above every cn < 0. For cn >= 0 both
+          sides are nonnegative and squaring keeps their order: the sign
+          is that of N/D - cn²/cd², that is of N*cd² - cn²*D, flipped when
+          D < 0.
+        * ratio_sqrt, value (TN/TD) / sqrt(RN/RD) with TD, RN, RD != 0 and
+          RN*RD > 0: the value has the sign of TN*TD. Different signs of
+          value and threshold decide at once, and two zeros are equal. For
+          equal nonzero signs compare squares: TN²*RD/(TD²*RN) - cn²/cd²
+          times TD²*cd²*RN, a factor with the sign of RN, is TN²*RD*cd² -
+          cn²*TD²*RN, so that is the sign, flipped when RN < 0; below zero
+          the larger square is the smaller value, which flips it again.
+        """
+        out = self._fn(tp, tn, p, n)
+        kind = self._kind
+        if kind == "rational":
+            num, den = out
+            if den == 0:
+                return None
+            diff = num * cd - cn * den
+        elif kind == "sqrt":
+            num, den = out
+            if den == 0 or num * den < 0:
+                return None
+            if cn < 0:
+                return 1
+            diff = num * cd * cd - cn * cn * den
+        else:
+            tnum, tden, rnum, rden = out
+            if tden == 0 or rden == 0 or rnum == 0 or rnum * rden < 0:
+                return None
+            t = tnum * tden
+            sv, sc = (t > 0) - (t < 0), (cn > 0) - (cn < 0)
+            if sv != sc:
+                return 1 if sv > sc else -1
+            if sv == 0:
+                return 0
+            diff = (tnum * tnum * rden * cd * cd
+                    - cn * cn * tden * tden * rnum)
+            if sv < 0:
+                diff = -diff
+            den = rnum
+        sign = (diff > 0) - (diff < 0)
+        return -sign if den < 0 else sign
+
+    def within(self, target: RationalInterval, tp: int, tn: int, p: int,
+               n: int) -> bool:
+        """Whether value(tp, tn, p, n) is defined and lies in target, for
+        int counts; decided by compare() at target's finite ends."""
+        if target.is_empty:
+            return False
+        lo, hi = target.lo, target.hi
+        if lo is None and hi is None:
+            return self.compare(tp, tn, p, n, 0, 1) is not None
+        if lo is not None:
+            sign = self.compare(tp, tn, p, n, lo.numerator, lo.denominator)
+            if sign is None or sign < 0:
+                return False
+        if hi is not None:
+            sign = self.compare(tp, tn, p, n, hi.numerator, hi.denominator)
+            if sign is None or sign > 0:
+                return False
+        return True
+
     def value_of(self, counts: ConfusionCounts) -> Optional[ExactValue]:
         return self.value(counts.tp, counts.tn, counts.p, counts.n)
 
@@ -245,6 +332,8 @@ class ScoreDefinition:
         count), a_ok asks whether the score at (m, o_min) stays at or under
         target.hi and b_ok whether the score at (m, o_max) reaches
         target.lo; an undefined corner is widened to the range endpoint.
+        Corners are evaluated at int counts with compare(), which decides
+        each of these comparisons exactly as value() would.
 
         Soundness: if the score at (m, o) lies in target for some o in the
         box, monotonicity in the other count puts the defined corner values
@@ -271,29 +360,33 @@ class ScoreDefinition:
         if other.is_empty:
             return EMPTY
         mono_other = self.mono_tn if axis == "tp" else self.mono_tp
-        o_min = other.lo if mono_other >= 0 else other.hi
-        o_max = other.hi if mono_other >= 0 else other.lo
-
-        def val(main, other_v):
-            if axis == "tp":
-                return self.value(main, other_v, p, n)
-            return self.value(other_v, main, p, n)
+        o_min, o_max = int(other.lo), int(other.hi)
+        if mono_other < 0:
+            o_min, o_max = o_max, o_min
+        compare, tp_axis = self.compare, axis == "tp"
+        lo, hi = target.lo, target.hi
+        if lo is not None:
+            lo_n, lo_d = lo.numerator, lo.denominator
+        if hi is not None:
+            hi_n, hi_d = hi.numerator, hi.denominator
 
         def b_ok(m):  # sup over other_box reaches target.lo
-            if target.lo is None:
+            if lo is None:
                 return True
-            v = val(m, o_max)
-            if v is None:
-                return self.range.hi is None or self.range.hi >= target.lo
-            return v >= target.lo
+            sign = (compare(m, o_max, p, n, lo_n, lo_d) if tp_axis
+                    else compare(o_max, m, p, n, lo_n, lo_d))
+            if sign is None:
+                return self.range.hi is None or self.range.hi >= lo
+            return sign >= 0
 
         def a_ok(m):  # inf over other_box stays under target.hi
-            if target.hi is None:
+            if hi is None:
                 return True
-            v = val(m, o_min)
-            if v is None:
-                return self.range.lo is None or self.range.lo <= target.hi
-            return v <= target.hi
+            sign = (compare(m, o_min, p, n, hi_n, hi_d) if tp_axis
+                    else compare(o_min, m, p, n, hi_n, hi_d))
+            if sign is None:
+                return self.range.lo is None or self.range.lo <= hi
+            return sign <= 0
 
         pieces = []
         for m in {0, size}:
@@ -310,9 +403,8 @@ class ScoreDefinition:
                 pieces.append((t1, t2))
         if not pieces:
             return EMPTY
-        lo = min(a for a, _ in pieces)
-        hi = max(b for _, b in pieces)
-        return RationalInterval.closed(lo, hi)
+        return RationalInterval.closed(min(a for a, _ in pieces),
+                                       max(b for _, b in pieces))
 
     def to_payload(self) -> dict:
         return {

@@ -5,9 +5,15 @@ evaluate to a plain Fraction. Three of the supported scores (Fowlkes-Mallows,
 the geometric mean of sensitivity and specificity, and Matthews correlation)
 involve a square root and are irrational in general. They are represented
 exactly as q * sqrt(r) with rational q and r, and compared against rationals
-by sign analysis plus squaring, so every membership decision the engine makes
-remains exact. A square root is never rounded to a rational bound, and no
-binary floating point enters any decision path.
+by sign analysis plus squaring. A square root is never rounded to a rational
+bound, and no binary floating point enters any decision path.
+
+These values serve the places that need a score as a number: affine
+coefficients for fold means, the brute-force oracles and checkers that
+recompute a witness. The engine's own membership decisions run the same
+sign analysis on the integer formula output instead
+(scores.ScoreDefinition.compare), without building a Fraction or a
+SqrtRational.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 
 from scoresleuth.binary import check_single_testset, compute_targets, feasible_region
 from scoresleuth.errors import RegionTooLarge, UnknownScoreId
-from scoresleuth.model import ScoreReport, Testset, Uncertainty
+from scoresleuth.model import ScoreReport, Testset, Uncertainty, infer_uncertainty
 from scoresleuth.oracle import brute_force_single
 from scoresleuth.scores import default_registry
 
@@ -124,3 +124,37 @@ def test_score_set_monotonicity():
         sub = check_single_testset(Testset(p, n), ScoreReport(fewer), U(3))
         if not full.inconsistency:
             assert not sub.inconsistency  # dropping constraints cannot flag
+
+
+@pytest.mark.parametrize("entries", [
+    {"sens": "0.50", "acc": "0.90"},   # the tp axis empties first
+    {"spec": "0.50", "acc": "0.90"},   # the tn axis empties first
+])
+def test_emptied_axis_empties_both_ranges(entries):
+    """acc = 0.90 on p = n = 10 needs tp, tn >= 8, which sens or spec =
+    0.50 contradicts. Whichever axis pruning empties, the evidence shows
+    both ranges empty rather than the other axis at an earlier round."""
+    res = check_single_testset(Testset(10, 10), ScoreReport(entries), U(2))
+    assert res.inconsistency
+    assert res.evidence == {"tp_range": "empty", "tn_range": "empty"}
+
+
+@pytest.mark.parametrize("p, n, entries", [
+    (7719, 84955, {"mcc": "-0.12", "ppv": "0.07"}),
+    (8004, 43505, {"fm": "0.24", "ppv": "0.10"}),
+])
+def test_large_square_root_testsets_are_decided(p, n, entries):
+    """Two reports once kept as hard cases (mcc or fm with ppv, p near
+    10^4, n up to 10^5) are decided consistent; the witness, recomputed
+    with value(), reproduces every score within its radius."""
+    report = ScoreReport(entries)
+    uncertainty = infer_uncertainty(report)
+    res = check_single_testset(Testset(p, n), report, uncertainty)
+    assert not res.inconsistency
+    tp, tn = res.witness["tp"], res.witness["tn"]
+    registry = default_registry()
+    for score_id, text in entries.items():
+        value = registry.get(score_id).value(tp, tn, p, n)
+        radius = uncertainty.radius_for(score_id)
+        assert value is not None
+        assert F(text) - radius <= value <= F(text) + radius

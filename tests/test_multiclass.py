@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from scoresleuth.aggregate import check_experiment
+from scoresleuth.binary import compute_targets
 from scoresleuth.errors import (
     FoldTotalsMismatch,
     NonlinearScoreUnsupported,
@@ -115,6 +116,55 @@ def test_micro_matches_matrix_level_brute_force():
         res = check_multiclass_micro(ts, scores, U(2))
         oracle = brute_force_macro(ts, scores, U(2))
         assert res.inconsistency == oracle.inconsistency, (counts, scores)
+
+
+def _first_micro_trace(registry, targets, total, num_classes):
+    """The first trace whose micro_value() lies in every target, or None."""
+    for trace in range(total + 1):
+        values = [micro_value(registry.get(rid[len("micro-"):]), trace, total,
+                              num_classes) for rid in targets]
+        if all(v is not None and target.contains(v)
+               for v, target in zip(values, targets.values())):
+            return trace
+    return None
+
+
+def test_micro_scan_matches_value_reference():
+    """The micro scan, which tests membership on integer counts, finds the
+    same first trace as micro_value() plus exact interval membership, on
+    random reports over all 22 shipped scores."""
+    rng = random.Random(77)
+    registry = default_registry()
+    base_ids = registry.ids()
+    outcomes = set()
+    for _ in range(300):
+        c = rng.randint(2, 5)
+        counts = [rng.randint(0, 9) for _ in range(c)]
+        if sum(counts) == 0:
+            counts[0] = 1
+        ts = MulticlassTestset(counts)
+        total = ts.size
+        chosen = rng.sample(base_ids, rng.randint(1, 3))
+        entries = {}
+        for sid in chosen:
+            value = micro_value(registry.get(sid), rng.randint(0, total), total, c)
+            guess = float(value) if value is not None else rng.random()
+            entries[f"micro-{sid}"] = f"{guess + rng.choice((0, 0.01, -0.02)):.2f}"
+        scores = ScoreReport.of(**entries)
+        targets, violation = compute_targets(
+            scores, U(2), {rid: registry.get(rid[len("micro-"):]) for rid in entries})
+        res = check_multiclass_micro(ts, scores, U(2))
+        if violation is not None:
+            assert res.inconsistency
+            continue
+        expected = _first_micro_trace(registry, targets, total, c)
+        outcomes.add(expected is None)
+        if expected is None:
+            assert res.inconsistency, (counts, entries)
+        else:
+            assert not res.inconsistency and res.witness["trace"] == expected, (
+                counts, entries)
+    assert outcomes == {True, False}
 
 
 # -------------------------------------------- micro scores as trace affines

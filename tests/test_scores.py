@@ -1,7 +1,9 @@
 """Score registry: exact values, ranges, inversion against brute force,
-monotone directions, and the F-beta factory."""
+monotone directions, the F-beta factory, and the integer sign test
+(compare, within) and inversion against value()-based references."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -210,3 +212,195 @@ def test_fbeta_factory(registry):
 
 def _as_args(c):
     return (c.tp, c.tn, c.p, c.n)
+
+
+# ---------------------------------------------------------------------------
+# the integer corner test against value()
+# ---------------------------------------------------------------------------
+
+
+def _all_definitions(registry):
+    return registry.definitions() + [fbeta_definition(F(1, 2))]
+
+
+def _exact_sign(value, c):
+    """Sign of value - c through value()'s Fraction or SqrtRational."""
+    return (value > c) - (value < c)
+
+
+def _thresholds(rng, value):
+    """Zero, negative and random thresholds, plus the value itself when it
+    is rational and thresholds close to it on both sides otherwise."""
+    out = [F(0), F(-1), F(-1, 2), F(rng.randint(-30, 30), rng.randint(1, 13))]
+    if isinstance(value, Fraction):
+        out += [value, -value, value + F(1, 10 ** 6), value - F(1, 10 ** 6)]
+    elif value is not None:
+        approx = float(value)
+        for k in (2, 6, 12):
+            scaled = approx * 10 ** k
+            out += [F(math.floor(scaled) - 1, 10 ** k),
+                    F(math.ceil(scaled) + 1, 10 ** k), -F(math.floor(scaled), 10 ** k)]
+    return out
+
+
+def _random_counts(rng):
+    """(tp, tn, p, n) with p, n in 0..40, boundary counts favoured."""
+    p, n = rng.randint(0, 40), rng.randint(0, 40)
+
+    def count(size):
+        return rng.choice((0, size, rng.randint(0, size), rng.randint(0, size)))
+    return count(p), count(n), p, n
+
+
+def test_compare_matches_value_exhaustively_on_small_testsets(registry):
+    """compare() is the sign of value() - c, and None exactly where value()
+    is None, at every count of every testset with p, n <= 5."""
+    rng = random.Random(3)
+    for definition in _all_definitions(registry):
+        for p, n in itertools.product(range(6), repeat=2):
+            for tp, tn in itertools.product(range(p + 1), range(n + 1)):
+                value = definition.value(tp, tn, p, n)
+                for c in _thresholds(rng, value):
+                    sign = definition.compare(tp, tn, p, n,
+                                              c.numerator, c.denominator)
+                    if value is None:
+                        assert sign is None, (definition, tp, tn, p, n)
+                    else:
+                        assert sign == _exact_sign(value, c), (
+                            definition, tp, tn, p, n, c)
+
+
+def test_compare_with_negative_compiled_denominators():
+    """Formulas written with negated terms compile to negative denominators
+    (and a negative radicand numerator), and a radicand that goes negative
+    is undefined; compare() still matches value()."""
+    neg_sens = ["/", ["neg", "tp"], ["neg", "p"]]
+    formulas = [neg_sens, ["sqrt", neg_sens], ["sqrt", ["-", "tp", "fn"]],
+                ["/", ["-", "tp", "fn"], ["sqrt", neg_sens]]]
+    rng = random.Random(4)
+    for formula in formulas:
+        definition = ScoreDefinition("neg", "negated", formula,
+                                     RationalInterval.unbounded(), False, 1, 0)
+        for p, n in itertools.product(range(5), range(2)):
+            for tp in range(p + 1):
+                value = definition.value(tp, 0, p, n)
+                for c in _thresholds(rng, value):
+                    sign = definition.compare(tp, 0, p, n, c.numerator, c.denominator)
+                    assert sign == (None if value is None else _exact_sign(value, c)), (
+                        formula, tp, p, c)
+
+
+def test_compare_matches_value_on_random_counts(registry):
+    """The same on random counts up to p, n = 40 for all 22 shipped scores
+    and F-beta with beta = 1/2, with ties at rational values (perfect-square
+    roots included) and both sides of irrational values covered."""
+    rng = random.Random(5)
+    ties = {}
+    sides = {}
+    for definition in _all_definitions(registry):
+        for _ in range(1500):
+            tp, tn, p, n = _random_counts(rng)
+            value = definition.value(tp, tn, p, n)
+            for c in _thresholds(rng, value):
+                sign = definition.compare(tp, tn, p, n, c.numerator, c.denominator)
+                if value is None:
+                    assert sign is None, (definition, tp, tn, p, n)
+                    continue
+                expected = _exact_sign(value, c)
+                assert sign == expected, (definition, tp, tn, p, n, c)
+                if expected == 0 and c != 0:
+                    ties[definition.score_id] = ties.get(definition.score_id, 0) + 1
+                if isinstance(value, SqrtRational):
+                    sides.setdefault(definition.score_id, set()).add(expected)
+    for definition in _all_definitions(registry):
+        assert ties.get(definition.score_id), definition  # nonzero ties reached
+    for sid in ("fm", "gm", "mcc"):
+        assert sides[sid] == {-1, 1}
+
+
+def test_compare_at_perfect_square_roots(registry):
+    """Square-root scores that are rational at a count compare equal to
+    that value: gm = sqrt(tp/p * tn/n) and fm = sqrt(ppv * sens) with
+    squares under the root, and mcc = +-1 and 1/2."""
+    gm, fm, mcc = (registry.get(i) for i in ("gm", "fm", "mcc"))
+    cases = [(gm, (1, 4, 4, 9), F(1, 3)), (gm, (2, 2, 8, 8), F(1, 4)),
+             (fm, (4, 5, 9, 5), F(2, 3)), (fm, (1, 7, 4, 7), F(1, 2)),
+             (mcc, (3, 4, 3, 4), F(1)), (mcc, (0, 0, 3, 4), F(-1))]
+    # mcc at tp = tn = 3 of p = n = 4: (9 - 1) / sqrt(4^4) = 1/2
+    cases.append((mcc, (3, 3, 4, 4), F(1, 2)))
+    for definition, counts, expected in cases:
+        assert definition.value(*counts) == expected
+        for delta, sign in ((0, 0), (F(1, 10 ** 9), -1), (-F(1, 10 ** 9), 1)):
+            c = expected + delta
+            assert definition.compare(*counts, c.numerator, c.denominator) == sign
+
+
+def test_within_is_value_in_target(registry):
+    """within() agrees with value() plus exact interval membership, for
+    closed, half-open, unbounded, point and empty targets."""
+    rng = random.Random(9)
+    for definition in _all_definitions(registry):
+        for _ in range(400):
+            tp, tn, p, n = _random_counts(rng)
+            target = rng.choice((
+                _random_target(rng, definition, p, n), RationalInterval.unbounded(),
+                EMPTY))
+            value = definition.value(tp, tn, p, n)
+            expected = value is not None and target.contains(value)
+            assert definition.within(target, tp, tn, p, n) == expected, (
+                definition, tp, tn, p, n, target)
+
+
+def _reference_invert(definition, target, other_box, p, n, axis):
+    """invert() recomputed from value() at every count of the axis: the
+    hull of the counts whose two corner tests pass."""
+    size, other_size = (p, n) if axis == "tp" else (n, p)
+    mono_main = definition.mono_tp if axis == "tp" else definition.mono_tn
+    if mono_main == 0:
+        return I(0, size)
+    if target.is_empty:
+        return EMPTY
+    other = other_box.intersect(I(0, other_size)).integer_clamp()
+    if other.is_empty:
+        return EMPTY
+    mono_other = definition.mono_tn if axis == "tp" else definition.mono_tp
+    o_min, o_max = (other.lo, other.hi) if mono_other >= 0 else (other.hi, other.lo)
+
+    def val(m, o):
+        return definition.value(*((m, o) if axis == "tp" else (o, m)), p, n)
+
+    def ok(m):
+        if target.lo is not None:
+            v = val(m, o_max)
+            if v is None:
+                if definition.range.hi is not None and definition.range.hi < target.lo:
+                    return False
+            elif v < target.lo:
+                return False
+        if target.hi is not None:
+            v = val(m, o_min)
+            if v is None:
+                if definition.range.lo is not None and definition.range.lo > target.hi:
+                    return False
+            elif v > target.hi:
+                return False
+        return True
+    kept = [m for m in range(size + 1) if ok(m)]
+    return I(kept[0], kept[-1]) if kept else EMPTY
+
+
+def test_invert_matches_value_reference(registry):
+    """invert() on integer corners equals the hull of its corner test
+    recomputed with value() at every count, on random instances of all
+    scores, both axes, p and n in 0..40."""
+    rng = random.Random(13)
+    definitions = _all_definitions(registry)
+    for _ in range(2500):
+        definition = rng.choice(definitions)
+        p, n = rng.randint(0, 40), rng.randint(0, 40)
+        axis = rng.choice(("tp", "tn"))
+        other_box = _random_box(rng, n if axis == "tp" else p)
+        target = _random_target(rng, definition, p, n)
+        assert definition.invert(target, other_box, p, n, axis) == \
+            _reference_invert(definition, target, other_box, p, n, axis), (
+                definition, target, other_box, p, n, axis)
