@@ -91,6 +91,19 @@ def test_known_folds_sens_mean_unreachable():
         "reason": "no integer assignment satisfies all mean constraints"}
 
 
+def test_thousands_of_known_folds_are_decided():
+    # Leave-two-out-sized folds: 4000 fold variables, and the search fixes
+    # them one level at a time, deeper than Python's recursion limit.
+    folds = [Testset(1, 1)] * 2000
+    spec = folded_spec(Testset(2000, 2000), FoldingScheme.known(folds), MOS)
+    res = check_experiment(spec, ScoreReport.of(acc="0.5125", sens="0.5250"),
+                           U(4))
+    assert not res.inconsistency
+    assert res.procedure == "mos_known_folds"
+    assert abs(mean_of("acc", folds, res.witness) - F("0.5125")) <= F(1, 10 ** 4)
+    assert abs(mean_of("sens", folds, res.witness) - F("0.5250")) <= F(1, 10 ** 4)
+
+
 def test_known_folds_perfect_mean_forces_all_correct():
     folds = [Testset(2, 2), Testset(2, 2)]
     res = check_mos_known_folds(folds, ScoreReport.of(acc="1.0"), U(4))
