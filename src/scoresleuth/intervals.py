@@ -6,14 +6,13 @@ unbounded side, and a dedicated empty interval is representable (distinct
 from every point interval).
 
 The operations are the ones the engine uses: addition, negation and
-subtraction, scaling by a positive rational constant, intersection and
-clamping to integer endpoints. All of them have exact endpoints, including
-unbounded ones, so no indeterminate form such as 0 * inf can arise.
+subtraction, scaling by a positive rational constant and intersection. All
+of them have exact endpoints, including unbounded ones, so no indeterminate
+form such as 0 * inf can arise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -112,17 +111,6 @@ class RationalInterval:
             return EMPTY
         lo = _ext_max2(self.lo, other.lo)
         hi = _ext_min2(self.hi, other.hi)
-        if lo is not None and hi is not None and lo > hi:
-            return EMPTY
-        return RationalInterval(lo, hi)
-
-    def integer_clamp(self) -> "RationalInterval":
-        """Tightest interval with integer endpoints containing all integers
-        of this interval: [ceil(lo), floor(hi)]."""
-        if self.is_empty:
-            return EMPTY
-        lo = None if self.lo is None else Fraction(math.ceil(self.lo))
-        hi = None if self.hi is None else Fraction(math.floor(self.hi))
         if lo is not None and hi is not None and lo > hi:
             return EMPTY
         return RationalInterval(lo, hi)

@@ -56,7 +56,8 @@ from .model import (
     Uncertainty,
     check_fold_totals,
 )
-from .scores import ScoreDefinition, ScoreRegistry, default_registry
+from .scores import (ScoreDefinition, ScoreRegistry, default_registry,
+                     target_ends)
 from .values import _sqrt_if_perfect
 
 MICRO_PREFIX = "micro-"
@@ -276,11 +277,13 @@ def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
     procedure = "multiclass_micro"
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
+    ends = [(definition, target_ends(targets[rid]))
+            for rid, definition in entries]
     total, num_classes = testset.size, testset.num_classes
     for trace in range(total + 1):
         args = _pooled_args(trace, total, num_classes)
-        if all(definition.within(targets[rid], *args)
-               for rid, definition in entries):
+        if all(definition.within(target, *args)
+               for definition, target in ends):
             return ConsistencyResult(
                 False, procedure,
                 witness={"trace": trace,

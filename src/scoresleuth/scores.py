@@ -24,9 +24,18 @@ must not exceed the target and the score at the maximising corner must
 reach it, where a corner at which the score is undefined widens to the
 range endpoint. The two boundary values of the inverted count take the
 test directly and the interior, where corner values are defined and
-monotone, is binary-searched; the returned integer interval is the hull
-of everything that might satisfy the target, which is all the engine
-needs because final verification is pointwise and exact.
+monotone, is binary-searched; the returned int box is the hull of
+everything that might satisfy the target, which is all the engine needs
+because final verification is pointwise and exact.
+
+invert() and within() take ints only: counts, an int box (lo, hi) for
+the other count, and the target as target_ends(), its ends as
+(numerator, denominator) pairs, computed once per report. invert()
+returns an int box, or None when it is empty. Every box end is an
+integer, so clamping a box to integers (ceil and floor of its ends) is
+the identity and intersecting boxes is max and min of their ends: the int
+boxes are exactly the clamped rational intervals, and no Fraction is
+built per call.
 
 The decisions themselves never build a value. ScoreDefinition.compare
 gives the exact sign of score - c for a rational threshold c from the
@@ -48,12 +57,26 @@ from importlib import resources
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UnknownScoreId
-from .intervals import EMPTY, RationalInterval
+from .intervals import RationalInterval
 from .values import ExactValue, sqrt_fraction, times_sqrt
 
 _COUNT_VARS = ("tp", "tn", "p", "n", "fp", "fn")
 
 AstNode = Union[str, int, list]
+
+#: The ends of a nonempty rational interval as int pairs: (lo, hi), each a
+#: (numerator, denominator) pair with denominator > 0, or None for an
+#: unbounded side. The form within() and invert() take a target in.
+TargetEnds = tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]
+
+
+def target_ends(interval: RationalInterval) -> Optional[TargetEnds]:
+    """The ends of an interval as (numerator, denominator) pairs; None for
+    the empty interval."""
+    if interval.is_empty:
+        return None
+    return tuple(None if end is None else (end.numerator, end.denominator)
+                 for end in (interval.lo, interval.hi))
 
 
 @dataclass(frozen=True)
@@ -191,6 +214,7 @@ class ScoreDefinition:
         self.mono_tn = mono_tn
         self.default_enabled = default_enabled
         self._kind, self._fn = _compile(formula)
+        self._range_ends = target_ends(range_)
 
     def __repr__(self):
         return f"<ScoreDefinition {self.score_id}>"
@@ -272,21 +296,22 @@ class ScoreDefinition:
         sign = (diff > 0) - (diff < 0)
         return -sign if den < 0 else sign
 
-    def within(self, target: RationalInterval, tp: int, tn: int, p: int,
+    def within(self, target: Optional[TargetEnds], tp: int, tn: int, p: int,
                n: int) -> bool:
-        """Whether value(tp, tn, p, n) is defined and lies in target, for
-        int counts; decided by compare() at target's finite ends."""
-        if target.is_empty:
+        """Whether value(tp, tn, p, n) is defined and lies in the target
+        whose target_ends() are `target`, for int counts; decided by
+        compare() at the target's finite ends."""
+        if target is None:
             return False
-        lo, hi = target.lo, target.hi
+        lo, hi = target
         if lo is None and hi is None:
             return self.compare(tp, tn, p, n, 0, 1) is not None
         if lo is not None:
-            sign = self.compare(tp, tn, p, n, lo.numerator, lo.denominator)
+            sign = self.compare(tp, tn, p, n, lo[0], lo[1])
             if sign is None or sign < 0:
                 return False
         if hi is not None:
-            sign = self.compare(tp, tn, p, n, hi.numerator, hi.denominator)
+            sign = self.compare(tp, tn, p, n, hi[0], hi[1])
             if sign is None or sign > 0:
                 return False
         return True
@@ -319,21 +344,25 @@ class ScoreDefinition:
 
     # -- inversion -----------------------------------------------------------
 
-    def invert(self, target: RationalInterval, other_box: RationalInterval,
-               p: int, n: int, axis: str) -> RationalInterval:
-        """Integer interval containing every value of `axis` ('tp' or 'tn')
-        for which some value of the other count in other_box puts the score
-        inside target. Returns the full [0, size] when the score does not
-        depend on the axis.
+    def invert(self, target: Optional[TargetEnds], other: tuple[int, int],
+               p: int, n: int, axis: str) -> Optional[tuple[int, int]]:
+        """Int box (lo, hi) containing every value of `axis` ('tp' or 'tn')
+        for which some value of the other count in the int box `other` =
+        (lo, hi) puts the score inside the target whose target_ends() are
+        `target`; None when no value qualifies. Returns the full (0, size)
+        when the score does not depend on the axis. `other` is cut to [0,
+        other size] first.
 
         Every m in [0, size] takes one corner test, ok(m) = a_ok(m) and
-        b_ok(m). With o_min and o_max the ends of other_box that minimise
-        and maximise the score (by the declared direction in the other
-        count), a_ok asks whether the score at (m, o_min) stays at or under
-        target.hi and b_ok whether the score at (m, o_max) reaches
-        target.lo; an undefined corner is widened to the range endpoint.
-        Corners are evaluated at int counts with compare(), which decides
-        each of these comparisons exactly as value() would.
+        b_ok(m). With o_min and o_max the ends of other that minimise and
+        maximise the score (by the declared direction in the other count),
+        a_ok asks whether the score at (m, o_min) stays at or under the
+        target's upper end and b_ok whether the score at (m, o_max) reaches
+        its lower end; an undefined corner is widened to the range
+        endpoint. Corners are evaluated at int counts with compare(), which
+        decides each of these comparisons exactly as value() would, and
+        the widening compares the range end with the target end by
+        cross-multiplication.
 
         Soundness: if the score at (m, o) lies in target for some o in the
         box, monotonicity in the other count puts the defined corner values
@@ -347,45 +376,44 @@ class ScoreDefinition:
         is all callers need because final verification is pointwise and
         exact.
         """
-        size = p if axis == "tp" else n
-        full = RationalInterval.closed(0, size)
-        mono_main = self.mono_tp if axis == "tp" else self.mono_tn
+        tp_axis = axis == "tp"
+        size, other_size = (p, n) if tp_axis else (n, p)
+        mono_main = self.mono_tp if tp_axis else self.mono_tn
         if mono_main == 0:
-            return full
-        if target.is_empty:
-            return EMPTY
-        other_size = n if axis == "tp" else p
-        other = other_box.intersect(
-            RationalInterval.closed(0, other_size)).integer_clamp()
-        if other.is_empty:
-            return EMPTY
-        mono_other = self.mono_tn if axis == "tp" else self.mono_tp
-        o_min, o_max = int(other.lo), int(other.hi)
-        if mono_other < 0:
+            return 0, size
+        if target is None:
+            return None
+        o_min, o_max = max(other[0], 0), min(other[1], other_size)
+        if o_min > o_max:
+            return None
+        if (self.mono_tn if tp_axis else self.mono_tp) < 0:
             o_min, o_max = o_max, o_min
-        compare, tp_axis = self.compare, axis == "tp"
-        lo, hi = target.lo, target.hi
+        compare = self.compare
+        lo, hi = target
+        range_lo, range_hi = self._range_ends
         if lo is not None:
-            lo_n, lo_d = lo.numerator, lo.denominator
+            lo_n, lo_d = lo
         if hi is not None:
-            hi_n, hi_d = hi.numerator, hi.denominator
+            hi_n, hi_d = hi
 
-        def b_ok(m):  # sup over other_box reaches target.lo
+        def b_ok(m):  # sup over other reaches the target's lower end
             if lo is None:
                 return True
             sign = (compare(m, o_max, p, n, lo_n, lo_d) if tp_axis
                     else compare(o_max, m, p, n, lo_n, lo_d))
             if sign is None:
-                return self.range.hi is None or self.range.hi >= lo
+                return (range_hi is None
+                        or range_hi[0] * lo_d >= lo_n * range_hi[1])
             return sign >= 0
 
-        def a_ok(m):  # inf over other_box stays under target.hi
+        def a_ok(m):  # inf over other stays under the target's upper end
             if hi is None:
                 return True
             sign = (compare(m, o_min, p, n, hi_n, hi_d) if tp_axis
                     else compare(o_min, m, p, n, hi_n, hi_d))
             if sign is None:
-                return self.range.lo is None or self.range.lo <= hi
+                return (range_lo is None
+                        or range_lo[0] * hi_d <= hi_n * range_lo[1])
             return sign <= 0
 
         pieces = []
@@ -402,9 +430,8 @@ class ScoreDefinition:
             if t1 is not None and t2 is not None and t1 <= t2:
                 pieces.append((t1, t2))
         if not pieces:
-            return EMPTY
-        return RationalInterval.closed(min(a for a, _ in pieces),
-                                       max(b for _, b in pieces))
+            return None
+        return min(a for a, _ in pieces), max(b for _, b in pieces)
 
     def to_payload(self) -> dict:
         return {

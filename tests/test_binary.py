@@ -11,7 +11,7 @@ from scoresleuth.binary import check_single_testset, compute_targets, feasible_r
 from scoresleuth.errors import RegionTooLarge, UnknownScoreId
 from scoresleuth.model import ScoreReport, Testset, Uncertainty, infer_uncertainty
 from scoresleuth.oracle import brute_force_single
-from scoresleuth.scores import default_registry
+from scoresleuth.scores import ScoreDefinition, default_registry
 
 F = Fraction
 
@@ -99,6 +99,79 @@ def test_oracle_agreement_random():
             w = (engine.witness["tp"], engine.witness["tn"])
             assert w == oracle.witnesses[0]  # both enumerate ascending
             assert feasible_region(Testset(p, n), rep, U(k)) == oracle.witnesses
+
+
+def _oracle_report(rng, ids, p, n):
+    """1-3 distinct registry scores at 1-3 decimals: half the time the
+    values of one random (tp, tn), rounded, otherwise random values (some
+    outside the scores' ranges)."""
+    registry = default_registry()
+    decimals = rng.randint(1, 3)
+    tp, tn = rng.randint(0, p), rng.randint(0, n)
+    entries = {}
+    for sid in rng.sample(ids, rng.randint(1, 3)):
+        value = registry.get(sid).value(tp, tn, p, n)
+        if value is None or rng.random() < 0.5:
+            value = rng.uniform(-1.2, 2.5)
+        entries[sid] = f"{float(value):.{decimals}f}"
+    return ScoreReport(entries), U(decimals)
+
+
+def test_integer_scan_matches_brute_force():
+    """feasible_region equals brute_force_single, and the witness of
+    check_single_testset is its first pair, on seeded random reports over
+    every registry score, p and n in 0..12 (0 and 1 often; p + n >= 1)."""
+    rng = random.Random(20261018)
+    ids = default_registry().ids()
+    sizes = (0, 1, 0, 1) + tuple(range(13))
+    outcomes = {True: 0, False: 0}
+    for _ in range(2500):
+        p, n = rng.choice(sizes), rng.choice(sizes)
+        if p + n == 0:
+            continue
+        testset = Testset(p, n)
+        report, uncertainty = _oracle_report(rng, ids, testset.p, testset.n)
+        oracle = brute_force_single(testset, report, uncertainty)
+        case = (testset, dict(report.items()))
+        assert feasible_region(testset, report, uncertainty) == oracle.witnesses, case
+        engine = check_single_testset(testset, report, uncertainty)
+        assert engine.inconsistency == oracle.inconsistency, case
+        if oracle.witnesses:
+            witness = (engine.witness["tp"], engine.witness["tn"])
+            assert witness == oracle.witnesses[0], case
+        outcomes[oracle.inconsistency] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+
+
+@pytest.mark.parametrize("p, n, entries, inversions, result", [
+    # a sqrt_scan-shaped report (gm plus two plain scores): the scan runs
+    # over 112 columns of tp
+    (3416, 1889, {"acc": "0.608", "gm": "0.632", "npv": "0.469"}, 243,
+     (False, {"tp": 1701, "tn": 1520},
+      {"tp_range": ["1701", "1812"], "tn_range": ["1418", "1520"]})),
+    # acc and err with parallel level sets: pruning takes 97 rounds to
+    # empty the boxes
+    (349, 14552, {"acc": "0.012", "err": "0.986"}, 389,
+     (True, None, {"tp_range": "empty", "tn_range": "empty"})),
+])
+def test_inversion_count_is_pinned(monkeypatch, p, n, entries, inversions,
+                                   result):
+    """The prune and the scan call ScoreDefinition.invert, at class level,
+    exactly as often as before the boxes became int pairs. The benchmark's
+    tracer wraps that name, so an inversion under another name would read
+    as zero calls there."""
+    calls = []
+    invert = ScoreDefinition.invert
+
+    def counted(self, *args):
+        calls.append(self.score_id)
+        return invert(self, *args)
+
+    monkeypatch.setattr(ScoreDefinition, "invert", counted)
+    report = ScoreReport(entries)
+    res = check_single_testset(Testset(p, n), report, infer_uncertainty(report))
+    assert len(calls) == inversions
+    assert (res.inconsistency, res.witness, res.evidence) == result
 
 
 def test_epsilon_monotonicity():

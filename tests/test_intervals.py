@@ -1,6 +1,6 @@
 """Exact interval arithmetic: constructors, addition, subtraction and
-positive scaling, intersection, integer clamping, and the containment
-property that makes every downstream pruning step sound."""
+positive scaling, intersection, and the containment property that makes
+every downstream pruning step sound."""
 
 from fractions import Fraction
 
@@ -56,21 +56,6 @@ def test_intersect():
     assert a.intersect(b) == b.intersect(a)
     assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
     assert a.intersect(a) == a
-
-
-def test_integer_clamp():
-    assert I(F(8099, 100), F(8101, 100)).integer_clamp() == I(81, 81)
-    assert I(F(1, 5), F(4, 5)).integer_clamp().is_empty
-    clamped = I(F(-1, 2), F(5, 2)).intersect(RationalInterval.at_least(0)).integer_clamp()
-    assert clamped == I(0, 2)
-
-
-def test_integer_clamp_subset_and_complete():
-    box = I(F(-7, 3), F(11, 4))
-    clamped = box.integer_clamp()
-    assert box.contains(clamped.lo) and box.contains(clamped.hi)
-    for v in range(-5, 6):
-        assert clamped.contains(v) == box.contains(v)
 
 
 def test_interval_payload():

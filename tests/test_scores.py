@@ -17,6 +17,7 @@ from scoresleuth.scores import (
     default_registry,
     evaluate,
     fbeta_definition,
+    target_ends,
 )
 from scoresleuth.values import SqrtRational
 
@@ -74,15 +75,28 @@ def test_score_ranges(registry):
     assert registry.get("youden").range == I(-1, 1)
 
 
+def E(lo, hi):
+    """Target ends of the closed interval [lo, hi]."""
+    return target_ends(I(lo, hi))
+
+
+def test_target_ends():
+    assert E(F(8099, 10000), 1) == ((8099, 10000), (1, 1))
+    assert E(F(-2, 4), 0) == ((-1, 2), (0, 1))
+    assert target_ends(RationalInterval.at_least(F(1, 3))) == ((1, 3), None)
+    assert target_ends(RationalInterval.unbounded()) == (None, None)
+    assert target_ends(EMPTY) is None
+
+
 def test_invert_examples(registry):
     sens, spec, acc = (registry.get(i) for i in ("sens", "spec", "acc"))
-    assert sens.invert(I(F(8099, 10000), F(8101, 10000)),
-                       I(0, 1000), 100, 1000, "tp") == I(81, 81)
-    assert spec.invert(I(0, 1), I(0, 1000), 100, 1000, "tp") == I(0, 100)
-    assert acc.invert(I(F(8463, 10000), F(8465, 10000)),
-                      I(850, 850), 100, 1000, "tp") == I(81, 81)
-    assert acc.invert(I(F(8463, 10000), F(8465, 10000)),
-                      I(81, 81), 100, 1000, "tn") == I(850, 850)
+    assert sens.invert(E(F(8099, 10000), F(8101, 10000)),
+                       (0, 1000), 100, 1000, "tp") == (81, 81)
+    assert spec.invert(E(0, 1), (0, 1000), 100, 1000, "tp") == (0, 100)
+    assert acc.invert(E(F(8463, 10000), F(8465, 10000)),
+                      (850, 850), 100, 1000, "tp") == (81, 81)
+    assert acc.invert(E(F(8463, 10000), F(8465, 10000)),
+                      (81, 81), 100, 1000, "tn") == (850, 850)
 
 
 def test_invert_boundary_counts_use_exact_corners(registry):
@@ -95,34 +109,35 @@ def test_invert_boundary_counts_use_exact_corners(registry):
     assert isinstance(corner, SqrtRational)
     lo = F(8165, 10000)                     # sqrt(2/3) = 0.81649...
     assert corner < lo
-    target = I(lo, 1)
-    assert gm.invert(target, I(0, 2), 2, 3, "tp") == EMPTY
-    assert gm.invert(target, I(0, 3), 2, 3, "tp") == I(2, 2)
-    assert gm.invert(I(0, 0), I(1, 2), 2, 3, "tp") == I(0, 0)
+    target = E(lo, 1)
+    assert gm.invert(target, (0, 2), 2, 3, "tp") is None
+    assert gm.invert(target, (0, 3), 2, 3, "tp") == (2, 2)
+    assert gm.invert(E(0, 0), (1, 2), 2, 3, "tp") == (0, 0)
     # ppv is undefined at tp = 0, tn = n; that corner widens to the range,
     # so tp = 0 stays; with two false positives ppv(0) = 0 drops it.
     ppv = registry.get("ppv")
-    assert ppv.invert(I(F(1, 2), 1), I(4, 4), 3, 4, "tp") == I(0, 3)
-    assert ppv.invert(I(F(1, 2), 1), I(2, 2), 3, 4, "tp") == I(2, 3)
+    assert ppv.invert(E(F(1, 2), 1), (4, 4), 3, 4, "tp") == (0, 3)
+    assert ppv.invert(E(F(1, 2), 1), (2, 2), 3, 4, "tp") == (2, 3)
 
 
 def _random_box(rng, size):
-    """An other-count box: the full axis, a single point (often a boundary
-    count), a random subrange, one touching a boundary count, or a box
-    reaching past the axis with fractional endpoints."""
+    """An int other-count box (lo, hi): the full axis, a single point
+    (often a boundary count), a random subrange, one touching a boundary
+    count, or the integers of a box with half-integer ends that reaches
+    past the axis (lo > hi when it holds none)."""
     kind = rng.randrange(5)
     if kind == 0:
-        return I(0, size)
+        return 0, size
     if kind == 1:
-        return RationalInterval.point(rng.choice((0, size, rng.randint(0, size))))
+        m = rng.choice((0, size, rng.randint(0, size)))
+        return m, m
     if kind == 2:
-        a, b = sorted((rng.randint(0, size), rng.randint(0, size)))
-        return I(a, b)
+        return tuple(sorted((rng.randint(0, size), rng.randint(0, size))))
     if kind == 3:
         r = rng.randint(0, size)
-        return rng.choice((I(0, r), I(r, size)))
+        return rng.choice(((0, r), (r, size)))
     a = F(rng.randint(-4, 2 * size + 2), 2)
-    return I(a, a + F(rng.randint(0, 2 * size + 4), 2))
+    return math.ceil(a), math.floor(a + F(rng.randint(0, 2 * size + 4), 2))
 
 
 def _random_target(rng, definition, p, n):
@@ -152,16 +167,14 @@ def test_inversion_soundness_brute_force(registry):
         size, other_size = (p, n) if axis == "tp" else (n, p)
         other_box = _random_box(rng, other_size)
         target = _random_target(rng, definition, p, n)
-        region = definition.invert(target, other_box, p, n, axis)
+        region = definition.invert(target_ends(target), other_box, p, n, axis)
         for m in range(size + 1):
-            for o in range(other_size + 1):
-                if not other_box.contains(o):
-                    continue
+            for o in range(max(other_box[0], 0), min(other_box[1], other_size) + 1):
                 tp, tn = (m, o) if axis == "tp" else (o, m)
                 val = definition.value(tp, tn, p, n)
                 if val is not None and target.contains(val):
-                    assert region.contains(m), (sid, axis, tp, tn, p, n,
-                                                target, other_box)
+                    assert region is not None and region[0] <= m <= region[1], (
+                        sid, axis, tp, tn, p, n, target, other_box)
 
 
 def test_monotone_directions_exhaustive(registry):
@@ -347,7 +360,7 @@ def test_within_is_value_in_target(registry):
                 EMPTY))
             value = definition.value(tp, tn, p, n)
             expected = value is not None and target.contains(value)
-            assert definition.within(target, tp, tn, p, n) == expected, (
+            assert definition.within(target_ends(target), tp, tn, p, n) == expected, (
                 definition, tp, tn, p, n, target)
 
 
@@ -357,14 +370,14 @@ def _reference_invert(definition, target, other_box, p, n, axis):
     size, other_size = (p, n) if axis == "tp" else (n, p)
     mono_main = definition.mono_tp if axis == "tp" else definition.mono_tn
     if mono_main == 0:
-        return I(0, size)
+        return 0, size
     if target.is_empty:
-        return EMPTY
-    other = other_box.intersect(I(0, other_size)).integer_clamp()
-    if other.is_empty:
-        return EMPTY
+        return None
+    lo, hi = max(other_box[0], 0), min(other_box[1], other_size)
+    if lo > hi:
+        return None
     mono_other = definition.mono_tn if axis == "tp" else definition.mono_tp
-    o_min, o_max = (other.lo, other.hi) if mono_other >= 0 else (other.hi, other.lo)
+    o_min, o_max = (lo, hi) if mono_other >= 0 else (hi, lo)
 
     def val(m, o):
         return definition.value(*((m, o) if axis == "tp" else (o, m)), p, n)
@@ -386,7 +399,7 @@ def _reference_invert(definition, target, other_box, p, n, axis):
                 return False
         return True
     kept = [m for m in range(size + 1) if ok(m)]
-    return I(kept[0], kept[-1]) if kept else EMPTY
+    return (kept[0], kept[-1]) if kept else None
 
 
 def test_invert_matches_value_reference(registry):
@@ -401,6 +414,6 @@ def test_invert_matches_value_reference(registry):
         axis = rng.choice(("tp", "tn"))
         other_box = _random_box(rng, n if axis == "tp" else p)
         target = _random_target(rng, definition, p, n)
-        assert definition.invert(target, other_box, p, n, axis) == \
+        assert definition.invert(target_ends(target), other_box, p, n, axis) == \
             _reference_invert(definition, target, other_box, p, n, axis), (
                 definition, target, other_box, p, n, axis)
