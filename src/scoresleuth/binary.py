@@ -29,6 +29,19 @@ inversions and visit the same columns and pairs in the same order.
 Neither inversion nor verification builds a Fraction or a SqrtRational
 per pair or per column: testsets with p up to about 10^4 and n up to
 about 10^5 are decided in under a second.
+
+Each inversion is seeded with the box the same score gave before: in the
+prune, its box from the previous round, and in the scan, its last
+nonempty box from an earlier column. The score is monotone in both
+counts, so a column's bounds move monotonically with tp, and the boxes of
+successive rounds only shrink; either way the new ends lie near the old
+ones, and invert gallops to them from there (saddleback search; Bird, MPC
+2006) instead of bisecting the whole axis. The seed changes no inversion:
+the corner tests are monotone on the interior, and a gallop from any
+start ends at the same first-true and last-true index as a bisection
+(scores._first_true). So every box, column, visited pair, witness and
+piece of evidence is the same as without seeds; only the number of
+corner tests falls.
 """
 
 from __future__ import annotations
@@ -108,15 +121,18 @@ def _prune_boxes(scored, tp_box, tn_box, p, n):
     rounds. Conservative: never discards a satisfying pair. When either box
     empties no pair survives, so both come back None whichever axis emptied
     first."""
+    near = [[None, None] for _ in scored]
     for _ in range(_MAX_PRUNE_ROUNDS):
         changed = False
-        for d, target in scored:
-            new_tp = _cut(tp_box, d.invert(target, tn_box, p, n, "tp"))
+        for (d, target), last in zip(scored, near):
+            last[0] = d.invert(target, tn_box, p, n, "tp", last[0])
+            new_tp = _cut(tp_box, last[0])
             if new_tp is None:
                 return None, None
             if new_tp != tp_box:
                 tp_box, changed = new_tp, True
-            new_tn = _cut(tn_box, d.invert(target, tp_box, p, n, "tn"))
+            last[1] = d.invert(target, tp_box, p, n, "tn", last[1])
+            new_tn = _cut(tn_box, last[1])
             if new_tn is None:
                 return None, None
             if new_tn != tn_box:
@@ -136,10 +152,16 @@ def _int_values(box):
     return range(0) if box is None else range(box[0], box[1] + 1)
 
 
-def _column_box(scored, tp, tn_box, p, n):
+def _column_box(scored, tp, tn_box, p, n, near):
+    """The tn box of column tp: tn_box cut by every score's inversion at
+    the point (tp, tp). Score i's inversion is seeded from near[i], the
+    last nonempty box it gave in an earlier column, and updates it."""
     col, point = tn_box, (tp, tp)
-    for d, target in scored:
-        col = _cut(col, d.invert(target, point, p, n, "tn"))
+    for i, (d, target) in enumerate(scored):
+        box = d.invert(target, point, p, n, "tn", near[i])
+        if box is not None:
+            near[i] = box
+        col = _cut(col, box)
         if col is None:
             break
     return col
@@ -176,8 +198,9 @@ def _scan(scored, tp_box, tn_box, p, n):
     """Column by column over the pruned boxes: each tp gets its own tn
     box from the inversions, and the pairs in it are verified exactly.
     Pruning empties both boxes or neither."""
+    near = [None] * len(scored)
     for tp in _int_values(tp_box):
-        col = _column_box(scored, tp, tn_box, p, n)
+        col = _column_box(scored, tp, tn_box, p, n, near)
         for tn in _int_values(col):
             if _verify_pair(scored, tp, tn, p, n):
                 yield tp, tn

@@ -46,6 +46,17 @@ verification of binary.py and the multiclass micro scan all use it at
 int counts. value() builds the Fraction or SqrtRational where a score is
 needed as a number: affine coefficients for fold means, evaluate(), the
 brute-force oracles and checkers that recompute a witness.
+
+invert() may be given a box `near`, such as its own result for the
+previous column of a scan or the previous round of a prune, and then
+gallops from its ends instead of bisecting the whole axis (saddleback
+search; Bird, MPC 2006). This changes no result. On the interior [1,
+size-1] the corner tests a_ok and b_ok are monotone (see invert()), so
+each has exactly one first-true and one last-true index. _first_true and
+_last_true only ever move their bracket by what monotonicity implies from
+a probe, whether the probe comes from the gallop or the bisection, so
+from any start they return that index. Only the number of compare()
+calls depends on `near`, and it falls when the answer lies close to it.
 """
 
 from __future__ import annotations
@@ -345,7 +356,9 @@ class ScoreDefinition:
     # -- inversion -----------------------------------------------------------
 
     def invert(self, target: Optional[TargetEnds], other: tuple[int, int],
-               p: int, n: int, axis: str) -> Optional[tuple[int, int]]:
+               p: int, n: int, axis: str,
+               near: Optional[tuple[int, int]] = None
+               ) -> Optional[tuple[int, int]]:
         """Int box (lo, hi) containing every value of `axis` ('tp' or 'tn')
         for which some value of the other count in the int box `other` =
         (lo, hi) puts the score inside the target whose target_ends() are
@@ -375,6 +388,12 @@ class ScoreDefinition:
         directly. The result is the hull of the qualifying values, which
         is all callers need because final verification is pointwise and
         exact.
+
+        `near`, an int box such as this score's result for a neighbouring
+        column or an earlier pruning round, seeds the two interior searches
+        from its ends (clamped to [1, size-1]; None means no seed). The
+        result does not depend on it (see the module docstring), only the
+        number of compare() calls does.
         """
         tp_axis = axis == "tp"
         size, other_size = (p, n) if tp_axis else (n, p)
@@ -421,12 +440,13 @@ class ScoreDefinition:
             if a_ok(m) and b_ok(m):
                 pieces.append((m, m))
         if size >= 2:
+            near_lo, near_hi = (None, None) if near is None else near
             if mono_main > 0:
-                t1 = _first_true(1, size - 1, b_ok)
-                t2 = _last_true(1, size - 1, a_ok)
+                t1 = _first_true(1, size - 1, b_ok, near_lo)
+                t2 = _last_true(1, size - 1, a_ok, near_hi)
             else:
-                t1 = _first_true(1, size - 1, a_ok)
-                t2 = _last_true(1, size - 1, b_ok)
+                t1 = _first_true(1, size - 1, a_ok, near_lo)
+                t2 = _last_true(1, size - 1, b_ok, near_hi)
             if t1 is not None and t2 is not None and t1 <= t2:
                 pieces.append((t1, t2))
         if not pieces:
@@ -466,30 +486,64 @@ class ScoreDefinition:
         )
 
 
-def _first_true(lo: int, hi: int, pred) -> Optional[int]:
-    """Smallest i in [lo, hi] with pred(i), for pred false..false true..true."""
-    if lo > hi or not pred(hi):
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
+def _first_true(lo: int, hi: int, pred, start: Optional[int] = None
+                ) -> Optional[int]:
+    """Smallest i in [lo, hi] with pred(i), for pred false..false true..true;
+    None when pred is false throughout.
+
+    The search keeps lo <= answer <= end, where pred is false at every
+    i < lo and true at end, or end = hi + 1 stands for "none" and is never
+    probed. Without a start it bisects [lo, end] at once. With one it first
+    gallops from start (clamped to [lo, hi]) by steps of 1, 2, 4, ...:
+    down while pred holds, each probe lowering end, and up while it fails,
+    each probe raising lo. The first probe with the other outcome, or one
+    that leaves [lo, end), brackets the answer, and the bisection finishes
+    there (exponential search; Bentley & Yao, IPL 1976). Every probe
+    narrows [lo, end] only by monotonicity, so every start gives the same
+    index, after about 2*log2(d) + 2 probes for an answer d away."""
+    end = hi + 1
+    if start is not None:
+        i, step = min(max(start, lo), hi), 1
+        while lo <= i < end:
+            if pred(i):
+                end = i
+                i -= step
+            else:
+                lo = i + 1
+                i += step
+            step *= 2
+    while lo < end:
+        mid = (lo + end) // 2
         if pred(mid):
-            hi = mid
+            end = mid
         else:
             lo = mid + 1
-    return lo
+    return lo if lo <= hi else None
 
 
-def _last_true(lo: int, hi: int, pred) -> Optional[int]:
-    """Largest i in [lo, hi] with pred(i), for pred true..true false..false."""
-    if lo > hi or not pred(lo):
-        return None
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
+def _last_true(lo: int, hi: int, pred, start: Optional[int] = None
+               ) -> Optional[int]:
+    """Largest i in [lo, hi] with pred(i), for pred true..true false..false;
+    None when pred is false throughout. The mirror image of _first_true:
+    begin <= answer <= hi, with begin = lo - 1 standing for "none"."""
+    begin = lo - 1
+    if start is not None:
+        i, step = min(max(start, lo), hi), 1
+        while begin < i <= hi:
+            if pred(i):
+                begin = i
+                i += step
+            else:
+                hi = i - 1
+                i -= step
+            step *= 2
+    while begin < hi:
+        mid = (begin + hi + 1) // 2
         if pred(mid):
-            lo = mid
+            begin = mid
         else:
             hi = mid - 1
-    return lo
+    return begin if begin >= lo else None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from scoresleuth import binary
 from scoresleuth.binary import check_single_testset, compute_targets, feasible_region
 from scoresleuth.errors import RegionTooLarge, UnknownScoreId
 from scoresleuth.model import ScoreReport, Testset, Uncertainty, infer_uncertainty
@@ -172,6 +173,72 @@ def test_inversion_count_is_pinned(monkeypatch, p, n, entries, inversions,
     res = check_single_testset(Testset(p, n), report, infer_uncertainty(report))
     assert len(calls) == inversions
     assert (res.inconsistency, res.witness, res.evidence) == result
+
+
+@pytest.mark.parametrize("p, n, entries, compares, inversions, result", [
+    # single_audit hard case 3: 587197 compare() calls with bisections
+    (9237, 92296, {"fdr": "0.22", "mcc": "0.88"}, 130560, 18213,
+     (False, {"tp": 9109, "tn": 89874},
+      {"tp_range": ["0", "9237"], "tn_range": ["89537", "92296"]})),
+    # single_audit hard case 9: 616828 with bisections
+    (8557, 61698, {"mcc": "-0.07", "ppv": "0.13"}, 283558, 16728,
+     (False, {"tp": 8361, "tn": 384},
+      {"tp_range": ["0", "8557"], "tn_range": ["0", "61698"]})),
+    # 97 pruning rounds on parallel level sets: 10678 with bisections
+    (349, 14552, {"acc": "0.012", "err": "0.986"}, 2738, 389,
+     (True, None, {"tp_range": "empty", "tn_range": "empty"})),
+])
+def test_compare_count_is_pinned(monkeypatch, p, n, entries, compares,
+                                 inversions, result):
+    """Seeded from the previous column's or round's box, each inversion
+    gallops instead of bisecting the whole axis: the number of
+    ScoreDefinition.compare calls (wrapped at class level) drops, while
+    the inversions, the witness and the evidence stay those of the
+    bisecting scan."""
+    counts = {"compare": 0, "invert": 0}
+    for name in counts:
+        method = getattr(ScoreDefinition, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(ScoreDefinition, name, counted)
+    report = ScoreReport(entries)
+    res = check_single_testset(Testset(p, n), report, infer_uncertainty(report))
+    assert counts == {"compare": compares, "invert": inversions}
+    assert (res.inconsistency, res.witness, res.evidence) == result
+
+
+def _verdict(testset, report, uncertainty):
+    res = check_single_testset(testset, report, uncertainty)
+    return res.inconsistency, res.witness
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_prune_cap_keeps_verdicts(monkeypatch, rounds):
+    """Stopping the prune after 1 or 2 rounds leaves wider boxes, but the
+    scan verifies every pair it visits: the verdict, the witness and the
+    feasible region equal those of an uncapped prune, on the reports of
+    test_integer_scan_matches_brute_force and on acc/err with parallel
+    level sets, which needs 97 rounds to empty its boxes."""
+    rng = random.Random(20261018)
+    ids = default_registry().ids()
+    sizes = (0, 1, 0, 1) + tuple(range(13))
+    acc_err = ScoreReport({"acc": "0.012", "err": "0.986"})
+    cases = [(Testset(349, 14552), acc_err, infer_uncertainty(acc_err))]
+    while len(cases) < 800:
+        p, n = rng.choice(sizes), rng.choice(sizes)
+        if p + n:
+            cases.append((Testset(p, n), *_oracle_report(rng, ids, p, n)))
+    monkeypatch.setattr(binary, "_MAX_PRUNE_ROUNDS", 10 ** 6)
+    uncapped = [_verdict(*case) for case in cases]
+    regions = [feasible_region(*case) for case in cases[1:]]
+    monkeypatch.setattr(binary, "_MAX_PRUNE_ROUNDS", rounds)
+    assert [_verdict(*case) for case in cases] == uncapped
+    assert [feasible_region(*case) for case in cases[1:]] == regions
+    assert uncapped[0] == (True, None)
+    assert check_single_testset(*cases[0]).evidence != {
+        "tp_range": "empty", "tn_range": "empty"}  # the cap did bind
 
 
 def test_epsilon_monotonicity():

@@ -14,6 +14,8 @@ from scoresleuth.intervals import EMPTY, RationalInterval
 from scoresleuth.scores import (
     ConfusionCounts,
     ScoreDefinition,
+    _first_true,
+    _last_true,
     default_registry,
     evaluate,
     fbeta_definition,
@@ -417,3 +419,131 @@ def test_invert_matches_value_reference(registry):
         assert definition.invert(target_ends(target), other_box, p, n, axis) == \
             _reference_invert(definition, target, other_box, p, n, axis), (
                 definition, target, other_box, p, n, axis)
+
+
+# ---------------------------------------------------------------------------
+# galloping searches
+# ---------------------------------------------------------------------------
+
+
+def _bisect_first(lo, hi, pred):
+    """Plain bisection for the smallest true index, as before starts."""
+    if lo > hi or not pred(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bisect_last(lo, hi, pred):
+    """Plain bisection for the largest true index, as before starts."""
+    if lo > hi or not pred(lo):
+        return None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _probed(lo, hi, truth, probes):
+    """truth(i) that records i and fails when it is asked outside [lo, hi],
+    where invert's predicates need not be monotone."""
+    def pred(i):
+        assert lo <= i <= hi, (i, lo, hi)
+        probes.append(i)
+        return truth(i)
+    return pred
+
+
+@pytest.mark.parametrize("lo", [-3, 0, 1, 5])
+def test_gallop_equals_bisection_for_every_start(lo):
+    """_first_true and _last_true return the plain bisection's index from
+    every start, inside [lo, hi] and up to 4 past either end, for every
+    monotone predicate on ranges of up to 12 indices (all false and all
+    true included) and on the empty range, and probe only inside [lo, hi].
+    A start at the answer costs at most two probes."""
+    for size in range(-1, 12):
+        hi = lo + size
+        # the first true index of rising, hi + 1 for none; one predicate
+        # on the empty range
+        for cut in range(lo, hi + 2) if hi >= lo else (lo,):
+            def rising(i):
+                return i >= cut
+
+            def falling(i):
+                return i < cut
+            first = _bisect_first(lo, hi, rising)
+            last = _bisect_last(lo, hi, falling)
+            assert first == (cut if cut <= hi else None)
+            assert last == (cut - 1 if lo < cut else None)
+            assert _first_true(lo, hi, _probed(lo, hi, rising, [])) == first
+            assert _last_true(lo, hi, _probed(lo, hi, falling, [])) == last
+            for start in range(lo - 4, hi + 5):
+                probes = []
+                assert _first_true(lo, hi, _probed(lo, hi, rising, probes),
+                                   start) == first, (lo, hi, cut, start)
+                if start == first:
+                    assert len(probes) <= 2, probes
+                probes = []
+                assert _last_true(lo, hi, _probed(lo, hi, falling, probes),
+                                  start) == last, (lo, hi, cut, start)
+                if start == last:
+                    assert len(probes) <= 2, probes
+
+
+def test_gallop_cost_grows_with_the_distance():
+    """From a start d indices away the gallop makes O(log d) probes on a
+    range of a million, where a bisection makes about 20."""
+    lo, hi, cut = 0, 10 ** 6, 400_000
+    for d in (0, 1, 7, 100, 5000):
+        for start in (cut - d, cut + d):
+            probes = []
+            assert _first_true(lo, hi, _probed(lo, hi, lambda i: i >= cut,
+                                                probes), start) == cut
+            assert len(probes) <= 2 * math.log2(d + 1) + 3, (d, probes)
+
+
+def _random_near(rng, size):
+    """A seed box for invert: None, an axis box, a point, one reaching
+    past either end of [0, size], or an empty one (lo > hi)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return _random_box(rng, size)
+    if kind == 2:
+        m = rng.randint(-3, size + 3)
+        return m, m
+    if kind == 3:
+        return rng.randint(-5, size + 5), rng.randint(-5, size + 5)
+    a = rng.randint(1, size + 5)
+    return a, a - rng.randint(1, 5)
+
+
+def test_invert_near_matches_invert(registry):
+    """invert(..., near) equals invert(...) and the value() reference for
+    random seed boxes, empty and out-of-axis ones included, on the
+    instances of test_invert_matches_value_reference over all scores."""
+    rng = random.Random(13)
+    definitions = _all_definitions(registry)
+    for _ in range(2500):
+        definition = rng.choice(definitions)
+        p, n = rng.randint(0, 40), rng.randint(0, 40)
+        axis = rng.choice(("tp", "tn"))
+        other_box = _random_box(rng, n if axis == "tp" else p)
+        target = _random_target(rng, definition, p, n)
+        ends = target_ends(target)
+        plain = definition.invert(ends, other_box, p, n, axis)
+        assert plain == _reference_invert(definition, target, other_box, p,
+                                          n, axis)
+        size = p if axis == "tp" else n
+        for near in (_random_near(rng, size), _random_near(rng, size), plain):
+            assert definition.invert(ends, other_box, p, n, axis, near) == \
+                plain, (definition, target, other_box, p, n, axis, near)
