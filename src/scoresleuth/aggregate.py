@@ -1,18 +1,17 @@
 """Decision procedures for aggregated experiments.
 
-Score-of-means (micro) aggregation pools raw counts, so those experiments
-reduce to the single-testset decision on totals. Mean-of-scores (macro)
-aggregation averages per-fold (or per-dataset) score values, which for
-affine scores is an exact integer feasibility problem over the per-fold
-confusion counts, solved by the branch-and-bound engine in `feasibility`.
+Score-of-means aggregation pools raw counts, so those experiments reduce
+to the single-testset decision on totals. Mean-of-scores aggregation
+averages per-fold (or per-dataset) score values, which for affine scores
+is an exact integer feasibility problem over the per-fold confusion
+counts, solved by `feasibility` on each fold layout that `folds` allows.
 
-`check_experiment` is the dispatcher over a validated ExperimentSpec tree;
-it covers {one dataset, many datasets} x {no folds, known, stratified,
-unknown} x {score_of_means, mean_of_scores} for binary data and hands
-single multiclass datasets to the `multiclass` module. Combinations whose
-semantics the underlying arithmetic cannot pin down (pooling counts across
-datasets whose folds were averaged as scores; mixing multiclass with other
-datasets) are refused with UnsupportedExperiment rather than guessed.
+`check_experiment` is the dispatcher over a validated ExperimentSpec tree
+of binary datasets, and hands a multiclass dataset to `multiclass`.
+Combinations whose semantics the arithmetic cannot pin down (pooling
+counts across datasets whose folds were averaged as scores; mixing
+multiclass with other datasets) are refused with UnsupportedExperiment
+rather than guessed.
 """
 
 from __future__ import annotations
@@ -23,31 +22,26 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .binary import check_single_testset, compute_targets
-from .errors import (
-    EmptyExperiment,
-    NonlinearScoreUnsupported,
-    TooManyConfigurations,
-    UnsupportedExperiment,
-)
-# Nothing here calls `propagate`, but perfbench/tracing.py patches it in
-# this module's namespace, so the name stays bound.
-from .feasibility import AffineConstraint, SolveOutcome, propagate, solve  # noqa: F401
-from .folds import (
-    config_cap,
-    enumerate_fold_configurations,
-    enumerate_stratified_fold_sizes,
-    iter_fold_configurations,
-)
+from .errors import EmptyExperiment, TooManyConfigurations, UnsupportedExperiment
+from .feasibility import AffineConstraint, SolveOutcome, solve
+from .folds import (config_cap, first_feasible, fold_layouts, layout_witness,
+                    mos_verdict)
 from .model import (
     AggregationMode,
     ConsistencyResult,
     ExperimentSpec,
+    FoldingScheme,
     ScoreReport,
     Testset,
     Uncertainty,
     validate_experiment,
 )
-from .scores import ScoreRegistry, default_registry
+from .scores import ScoreRegistry, default_registry, require_linear
+
+# Nothing here calls these, but perfbench/tracing.py patches them in this
+# module's namespace, so the names stay bound.
+from .feasibility import propagate  # noqa: F401
+from .folds import enumerate_fold_configurations, iter_fold_configurations  # noqa: F401
 
 PROCEDURES = {
     "som_pooled": "score-of-means reduction: pool counts, then decide on the totals",
@@ -67,20 +61,12 @@ def reduce_som(folds: Sequence[Testset]) -> Testset:
     return Testset(sum(f.p for f in folds), sum(f.n for f in folds))
 
 
-def _require_linear(scores: ScoreReport, registry: ScoreRegistry) -> None:
-    for score_id in scores.ids:
-        if not registry.get(score_id).linear:
-            raise NonlinearScoreUnsupported(
-                f"score {score_id!r} is not affine in the confusion counts; "
-                f"a mean of scores only yields linear constraints for affine "
-                f"scores (acc, sens, spec, bacc, ...)")
-
-
 # A group is (coefficient, folds): every fold's score enters each mean
-# constraint with the same rational coefficient. A plain k-fold mean is
-# one group with coefficient 1/k; dataset-level means add one group per
-# dataset with coefficients 1/D or 1/(D*k_d).
-_Group = tuple[Fraction, tuple[Testset, ...]]
+# constraint with the same rational coefficient, and each fold is its
+# (p, n) pair. A plain k-fold mean is one group with coefficient 1/k;
+# dataset-level means add one group per dataset with coefficients 1/D or
+# 1/(D*k_d).
+_Group = tuple[Fraction, tuple[tuple[int, int], ...]]
 
 
 def _solve_mos_groups(groups: Sequence[_Group], targets,
@@ -94,21 +80,21 @@ def _solve_mos_groups(groups: Sequence[_Group], targets,
     """
     domains: list[tuple[int, int]] = []
     for _, folds in groups:
-        for fold in folds:
-            domains.append((0, fold.p))
-            domains.append((0, fold.n))
+        for p, n in folds:
+            domains.append((0, p))
+            domains.append((0, n))
     constraints = []
     for score_id, target in targets.items():
         definition = registry.get(score_id)
         coeffs: list[Fraction] = []
         constant = Fraction(0)
         for coeff, folds in groups:
-            for fold in folds:
-                abc = definition.affine_coefficients(fold.p, fold.n)
+            for p, n in folds:
+                abc = definition.affine_coefficients(p, n)
                 if abc is None:
                     return SolveOutcome(excluded=True, evidence={
                         "score": score_id,
-                        "fold": {"p": fold.p, "n": fold.n},
+                        "fold": {"p": p, "n": n},
                         "reason": "score undefined on this fold for every "
                                   "outcome, so no finite mean exists",
                     })
@@ -134,30 +120,49 @@ def _solve_mos_groups(groups: Sequence[_Group], targets,
     return SolveOutcome(shaped, {})
 
 
+def _mos_targets(scores: ScoreReport, uncertainty: Uncertainty,
+                 registry: ScoreRegistry):
+    """compute_targets for a mean of scores, which only affine scores may
+    enter."""
+    require_linear((score_id, registry.get(score_id)) for score_id in scores.ids)
+    return compute_targets(scores, uncertainty, registry)
+
+
+_MOS_PROCEDURES = {"known_folds": "mos_known_folds",
+                   "stratified_kfold": "mos_stratified_kfold",
+                   "unknown_folds_kfold": "mos_unknown_folds"}
+
+
+def _check_mos_folds(testset: Testset, scheme: FoldingScheme,
+                     scores: ScoreReport, uncertainty: Uncertainty,
+                     registry: Optional[ScoreRegistry],
+                     cap: Optional[int]) -> ConsistencyResult:
+    """Mean of scores over the folds of one binary testset: consistent iff
+    some fold layout the scheme allows admits an outcome. Exact for affine
+    scores; others are refused."""
+    registry = registry or default_registry()
+    procedure = _MOS_PROCEDURES[scheme.kind]
+    targets, violation = _mos_targets(scores, uncertainty, registry)
+    if violation is not None:
+        return ConsistencyResult(True, procedure, evidence=violation)
+
+    def decide(layout) -> SolveOutcome:
+        outcome = _solve_mos_groups([(Fraction(1, len(layout)), layout)],
+                                    targets, registry)
+        return replace(outcome,
+                       solution=outcome.solution and outcome.solution[0])
+
+    return mos_verdict(procedure, (testset.p, testset.n), scheme, cap, decide)
+
+
 def check_mos_known_folds(folds: Sequence[Testset], scores: ScoreReport,
                           uncertainty: Uncertainty,
-                          registry: Optional[ScoreRegistry] = None,
-                          procedure: str = "mos_known_folds",
-                          extra_evidence: Optional[dict] = None
+                          registry: Optional[ScoreRegistry] = None
                           ) -> ConsistencyResult:
     """Does any per-fold outcome make every reported fold-mean land in its
     target interval? Exact for affine scores; others are refused."""
-    registry = registry or default_registry()
-    folds = list(folds)
-    if not folds:
-        raise EmptyExperiment("mean of scores needs at least one fold")
-    _require_linear(scores, registry)
-    targets, violation = compute_targets(scores, uncertainty, registry)
-    extra = extra_evidence or {}
-    if violation is not None:
-        return ConsistencyResult(True, procedure,
-                                 evidence={**violation, **extra})
-    k = len(folds)
-    groups = [(Fraction(1, k), tuple(folds))]
-    outcome = _solve_mos_groups(groups, targets, registry)
-    witness = {"folds": outcome.solution[0]} if outcome.feasible else None
-    return ConsistencyResult(not outcome.feasible, procedure, witness=witness,
-                             evidence={**outcome.evidence, **extra})
+    return _check_mos_folds(reduce_som(folds), FoldingScheme.known(folds),
+                            scores, uncertainty, registry, None)
 
 
 def check_mos_unknown_folds(testset: Testset, k: int, scores: ScoreReport,
@@ -165,40 +170,11 @@ def check_mos_unknown_folds(testset: Testset, k: int, scores: ScoreReport,
                             registry: Optional[ScoreRegistry] = None,
                             cap: Optional[int] = None) -> ConsistencyResult:
     """Mean-of-scores consistency when only (p, n, k) is known: the report
-    is consistent iff SOME fold-size configuration admits an outcome.
-
-    Configurations on which a reported score is undefined for every outcome
-    are excluded from the OR (they could not have produced a finite mean).
-    Enumeration is canonical and capped (TooManyConfigurations past it).
-    """
-    registry = registry or default_registry()
-    procedure = "mos_unknown_folds"
-    _require_linear(scores, registry)
-    targets, violation = compute_targets(scores, uncertainty, registry)
-    if violation is not None:
-        return ConsistencyResult(True, procedure, evidence=violation)
-    limit = config_cap(cap)
-    tried = excluded = 0
-    for config in iter_fold_configurations((testset.p, testset.n), k):
-        tried += 1
-        if tried > limit:
-            raise TooManyConfigurations(tried, limit)
-        folds = tuple(Testset(fp, fn) for fp, fn in config)
-        outcome = _solve_mos_groups([(Fraction(1, k), folds)], targets,
-                                    registry)
-        if outcome.excluded:
-            excluded += 1
-        elif outcome.feasible:
-            return ConsistencyResult(
-                False, procedure,
-                witness={"configuration": [[f.p, f.n] for f in folds],
-                         "folds": outcome.solution[0]},
-                evidence={**outcome.evidence, "configurations_tried": tried})
-    return ConsistencyResult(True, procedure, evidence={
-        "configurations_tried": tried,
-        "configurations_excluded": excluded,
-        "reason": "no fold-size configuration admits a satisfying outcome",
-    })
+    is consistent iff SOME fold layout admits an outcome. Layouts on which
+    a reported score is undefined for every outcome are excluded from the
+    OR; enumeration is canonical and capped (TooManyConfigurations)."""
+    return _check_mos_folds(testset, FoldingScheme.unknown(k), scores,
+                            uncertainty, registry, cap)
 
 
 def check_experiment(spec: ExperimentSpec, scores: ScoreReport,
@@ -223,29 +199,18 @@ def check_experiment(spec: ExperimentSpec, scores: ScoreReport,
 
     if len(spec.datasets) == 1:
         ds = spec.datasets[0]
-        scheme = ds.folding
-        if not scheme.is_folded:
+        if not ds.folding.is_folded:
             return check_single_testset(ds.testset, scores, uncertainty, registry)
-        if spec.fold_aggregation is AggregationMode.SCORE_OF_MEANS:
-            # Pooling reproduces the dataset totals whatever the fold split,
-            # so even unknown folds reduce to one single-testset decision.
-            pooled = (reduce_som(scheme.folds)
-                      if scheme.kind == "known_folds" else ds.testset)
-            result = check_single_testset(pooled, scores, uncertainty, registry)
-            return replace(result, procedure="som_pooled", evidence={
-                **result.evidence, "pooled": {"p": pooled.p, "n": pooled.n}})
-        if scheme.kind == "known_folds":
-            return check_mos_known_folds(scheme.folds, scores, uncertainty,
-                                         registry)
-        if scheme.kind == "stratified_kfold":
-            folds = enumerate_stratified_fold_sizes(
-                ds.testset.p, ds.testset.n, scheme.k)
-            return check_mos_known_folds(
-                folds, scores, uncertainty, registry,
-                procedure="mos_stratified_kfold",
-                extra_evidence={"derived_folds": [[f.p, f.n] for f in folds]})
-        return check_mos_unknown_folds(ds.testset, scheme.k, scores,
-                                       uncertainty, registry, cap=cap)
+        if spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES:
+            return _check_mos_folds(ds.testset, ds.folding, scores,
+                                    uncertainty, registry, cap)
+        # Pooling reproduces the dataset totals whatever the fold split
+        # (validate_experiment has proved that known folds sum to them), so
+        # even unknown folds reduce to one single-testset decision.
+        result = check_single_testset(ds.testset, scores, uncertainty, registry)
+        return replace(result, procedure="som_pooled", evidence={
+            **result.evidence,
+            "pooled": {"p": ds.testset.p, "n": ds.testset.n}})
 
     # several datasets
     if spec.dataset_aggregation is AggregationMode.SCORE_OF_MEANS:
@@ -268,43 +233,25 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
                         cap: Optional[int]) -> ConsistencyResult:
     """Dataset-level mean of scores. Each dataset contributes either its
     own score (coefficient 1/D) or, when its folds are averaged too, its
-    fold scores (nested coefficients 1/(D*k_d)). Datasets with unknown
-    folds multiply in their configuration choices; the product of choices
-    is capped."""
+    fold scores on one of its fold layouts (nested coefficients
+    1/(D*k_d)). The OR runs over the product of the datasets' layouts,
+    which is capped."""
     procedure = "mos_datasets"
-    _require_linear(scores, registry)
-    targets, violation = compute_targets(scores, uncertainty, registry)
+    targets, violation = _mos_targets(scores, uncertainty, registry)
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
 
     D = len(spec.datasets)
     fold_mos = spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES
-    # alternatives[d]: list of (group, witness_kind, config_sizes) choices
-    alternatives: list[list[tuple[_Group, str, Optional[list]]]] = []
+    alternatives = []
     for ds in spec.datasets:
-        scheme = ds.folding
-        if scheme.is_folded and fold_mos:
-            if scheme.kind == "known_folds":
-                folds = tuple(scheme.folds)
-            elif scheme.kind == "stratified_kfold":
-                folds = tuple(enumerate_stratified_fold_sizes(
-                    ds.testset.p, ds.testset.n, scheme.k))
-            else:
-                k = scheme.k
-                configs = enumerate_fold_configurations(
-                    ds.testset.p, ds.testset.n, k, cap=cap)
-                alternatives.append([
-                    ((Fraction(1, D * k), cfg), "config",
-                     [[f.p, f.n] for f in cfg])
-                    for cfg in configs])
-                continue
-            k = len(folds)
-            alternatives.append([((Fraction(1, D * k), folds), "folds", None)])
+        totals = (ds.testset.p, ds.testset.n)
+        if fold_mos and ds.folding.is_folded:
+            alternatives.append(list(fold_layouts(totals, ds.folding, cap)))
         else:
             # No folding, or fold-level SoM: the dataset-level score is a
             # plain score of the dataset's (pooled) totals.
-            kind = "pooled" if scheme.is_folded else "plain"
-            alternatives.append([((Fraction(1, D), (ds.testset,)), kind, None)])
+            alternatives.append([(totals,)])
 
     limit = config_cap(cap)
     combos = 1
@@ -313,31 +260,29 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
     if combos > limit:
         raise TooManyConfigurations(combos, limit)
 
-    tried = excluded = 0
-    for combo in itertools.product(*alternatives):
-        tried += 1
-        groups = [choice[0] for choice in combo]
-        outcome = _solve_mos_groups(groups, targets, registry)
-        if outcome.excluded:
-            excluded += 1
-        elif outcome.feasible:
-            witness_datasets = []
-            for (_, kind, config_sizes), counts in zip(combo, outcome.solution):
-                if kind == "folds":
-                    witness_datasets.append({"folds": counts})
-                elif kind == "config":
-                    witness_datasets.append(
-                        {"configuration": config_sizes, "folds": counts})
-                elif kind == "pooled":
-                    witness_datasets.append(dict(counts[0], pooled=True))
-                else:
-                    witness_datasets.append(counts[0])
-            return ConsistencyResult(
-                False, procedure, witness={"datasets": witness_datasets},
-                evidence={**outcome.evidence, "combinations_tried": tried})
-    return ConsistencyResult(True, procedure, evidence={
-        "combinations_tried": tried,
-        "combinations_excluded": excluded,
-        "reason": "no combination of fold configurations admits a "
-                  "satisfying outcome",
-    })
+    def decide(combo) -> SolveOutcome:
+        return _solve_mos_groups(
+            [(Fraction(1, D * len(layout)), layout) for layout in combo],
+            targets, registry)
+
+    combo, outcome, tried, excluded = first_feasible(
+        itertools.product(*alternatives), decide)
+    if not outcome.feasible:
+        return ConsistencyResult(True, procedure, evidence={
+            "combinations_tried": tried,
+            "combinations_excluded": excluded,
+            "reason": "no combination of fold configurations admits a "
+                      "satisfying outcome",
+        })
+    witness_datasets = []
+    for ds, layout, counts in zip(spec.datasets, combo, outcome.solution):
+        if fold_mos and ds.folding.is_folded:
+            witness_datasets.append(
+                layout_witness(ds.folding.kind, layout, counts))
+        elif ds.folding.is_folded:
+            witness_datasets.append(dict(counts[0], pooled=True))
+        else:
+            witness_datasets.append(counts[0])
+    return ConsistencyResult(False, procedure,
+                             witness={"datasets": witness_datasets},
+                             evidence={"combinations_tried": tried})

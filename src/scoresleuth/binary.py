@@ -75,7 +75,7 @@ REGION_CAP = 10 ** 7
 def compute_targets(scores: ScoreReport, uncertainty: Uncertainty,
                     definitions: Union[ScoreRegistry,
                                        Mapping[str, ScoreDefinition]]):
-    """Per-score target intervals [v - r - slack, v + r + slack], intersected
+    """Per-score target intervals [v - r, v + r], intersected
     with each score's theoretical range, keyed by the reported id.
 
     `definitions.get(reported_id)` gives the definition whose range
@@ -90,7 +90,7 @@ def compute_targets(scores: ScoreReport, uncertainty: Uncertainty,
     targets: dict[str, RationalInterval] = {}
     for score_id, value in scores.items():
         definition = definitions.get(score_id)
-        radius = uncertainty.radius_for(score_id) + uncertainty.solver_slack
+        radius = uncertainty.radius_for(score_id)
         raw = RationalInterval.closed(value - radius, value + radius)
         target = raw.intersect(definition.range)
         if target.is_empty:

@@ -1,23 +1,30 @@
-"""Fold-size derivation and enumeration for k-fold schemes.
+"""Fold layouts of a folding scheme, and the OR over them.
 
-Two jobs: derive the deterministic stratified split of a testset into k
-folds, and enumerate every possible fold-size configuration when the split
-is unknown. Both work on generic per-class count vectors, so the binary
-(p, n) case and the multiclass case share the machinery.
+A *layout* is one per-class count vector per fold, so the binary (p, n)
+case and the multiclass case share the machinery. A mean of scores over
+folds is consistent iff some layout the scheme allows admits an outcome.
+This module holds both halves of that rule:
 
-Configuration enumeration is combinatorial, so it is capped: exceeding the
-cap raises TooManyConfigurations instead of grinding on. The default cap
-can be overridden per call or through the SCORESLEUTH_CONFIG_CAP
-environment variable.
+* `fold_layouts` yields the layouts: the known folds, or the deterministic
+  stratified split, as one layout each, or every layout of k nonempty
+  folds (`iter_fold_configurations`) when the split is unknown.
+* `first_feasible` is the OR: it decides layouts in turn, stops at the
+  first feasible outcome, and counts the layouts tried and excluded.
+  `mos_verdict` shapes its result into the verdict of one dataset.
+
+Unknown layouts are combinatorial, so their enumeration is capped:
+exceeding the cap raises TooManyConfigurations instead of grinding on. The
+default cap can be overridden per call or through the
+SCORESLEUTH_CONFIG_CAP environment variable.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidFoldCount, SpecError, TooManyConfigurations
-from .model import Testset
+from .model import ConsistencyResult, FoldingScheme, Testset, class_totals
 
 DEFAULT_CONFIG_CAP = 10 ** 6
 
@@ -57,12 +64,6 @@ def stratified_split_counts(totals: Sequence[int], k: int) -> list[tuple[int, ..
             f"stratified split of totals {tuple(totals)} into k={k} folds "
             f"leaves a fold empty")
     return folds
-
-
-def enumerate_stratified_fold_sizes(p: int, n: int, k: int) -> list[Testset]:
-    """The stratified fold testsets for a binary testset (see
-    stratified_split_counts for the rule)."""
-    return [Testset(fp, fn) for fp, fn in stratified_split_counts((p, n), k)]
 
 
 def _vectors_desc(totals: tuple[int, ...], cap_vec: tuple[int, ...]
@@ -117,15 +118,90 @@ def iter_fold_configurations(totals: Sequence[int], k: int
     return rec(totals, k, totals)
 
 
+Layout = tuple[tuple[int, ...], ...]
+
+
+def fold_layouts(totals: Sequence[int], scheme: FoldingScheme,
+                 cap: Optional[int] = None) -> Iterator[Layout]:
+    """The fold layouts `scheme` allows for a testset with per-class
+    `totals`: the known folds' counts or the stratified split as the only
+    layout, else every canonical layout of k nonempty folds, raising
+    TooManyConfigurations when more than the cap would be yielded."""
+    if scheme.kind == "known_folds":
+        yield tuple(class_totals(f) for f in scheme.folds)
+    elif scheme.kind == "stratified_kfold":
+        yield tuple(stratified_split_counts(totals, scheme.k))
+    else:
+        limit = config_cap(cap)
+        for count, layout in enumerate(
+                iter_fold_configurations(totals, scheme.k), 1):
+            if count > limit:
+                raise TooManyConfigurations(count, limit)
+            yield layout
+
+
+def first_feasible(layouts: Iterable, decide: Callable):
+    """The OR over layouts: a report is consistent iff `decide` finds a
+    feasible outcome on some layout.
+
+    Returns (layout, outcome, tried, excluded): the first layout whose
+    outcome is feasible, or the last layout and its outcome when none is.
+    `tried` counts the layouts decided and `excluded` those whose outcome
+    was excluded (a reported score undefined on a fold for every outcome,
+    so no finite mean could have come from the layout). `layouts` must not
+    be empty.
+    """
+    tried = excluded = 0
+    for layout in layouts:
+        tried += 1
+        outcome = decide(layout)
+        if outcome.feasible:
+            break
+        excluded += outcome.excluded
+    return layout, outcome, tried, excluded
+
+
+def layout_witness(kind: str, layout: Layout, folds: list) -> dict:
+    """Witness of one dataset's fold means: each fold's outcome, and the
+    layout itself when the scheme left it unknown."""
+    if kind == "unknown_folds_kfold":
+        return {"configuration": [list(v) for v in layout], "folds": folds}
+    return {"folds": folds}
+
+
+def mos_verdict(procedure: str, totals: Sequence[int], scheme: FoldingScheme,
+                cap: Optional[int], decide: Callable
+                ) -> ConsistencyResult:
+    """The verdict on one dataset whose fold scores were averaged: the OR
+    of `decide` over `fold_layouts(totals, scheme, cap)`. A feasible
+    outcome's solution is the list of per-fold witnesses.
+
+    Known and stratified folds give one layout, so the evidence is that
+    layout's, plus `derived_folds` for the stratified split. Unknown folds
+    give the counts of layouts tried (and excluded, when none admits an
+    outcome) instead.
+    """
+    layout, outcome, tried, excluded = first_feasible(
+        fold_layouts(totals, scheme, cap), decide)
+    if scheme.kind != "unknown_folds_kfold":
+        evidence = dict(outcome.evidence or {})
+        if scheme.kind == "stratified_kfold":
+            evidence["derived_folds"] = [list(v) for v in layout]
+    elif outcome.feasible:
+        evidence = {"configurations_tried": tried}
+    else:
+        evidence = {"configurations_tried": tried,
+                    "configurations_excluded": excluded,
+                    "reason": "no fold layout admits a satisfying outcome"}
+    witness = (layout_witness(scheme.kind, layout, outcome.solution)
+               if outcome.feasible else None)
+    return ConsistencyResult(not outcome.feasible, procedure, witness, evidence)
+
+
 def enumerate_fold_configurations(p: int, n: int, k: int,
                                   cap: Optional[int] = None
                                   ) -> list[tuple[Testset, ...]]:
     """All fold-size configurations of a binary testset as Testset tuples,
     canonically ordered; raises TooManyConfigurations past the cap."""
-    limit = config_cap(cap)
-    out: list[tuple[Testset, ...]] = []
-    for config in iter_fold_configurations((p, n), k):
-        if len(out) >= limit:
-            raise TooManyConfigurations(len(out) + 1, limit)
-        out.append(tuple(Testset(fp, fn) for fp, fn in config))
-    return out
+    return [tuple(Testset(fp, fn) for fp, fn in layout)
+            for layout in fold_layouts((p, n), FoldingScheme.unknown(k), cap)]

@@ -5,10 +5,8 @@ so intervals carry exact `fractions.Fraction` endpoints. `None` stands for an
 unbounded side, and a dedicated empty interval is representable (distinct
 from every point interval).
 
-The operations are the ones the engine uses: addition, negation and
-subtraction, scaling by a positive rational constant and intersection. All
-of them have exact endpoints, including unbounded ones, so no indeterminate
-form such as 0 * inf can arise.
+The one operation the engine needs is intersection. Its endpoints are
+exact, including unbounded ones.
 """
 
 from __future__ import annotations
@@ -78,33 +76,7 @@ class RationalInterval:
             return False
         return True
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, other: "RationalInterval") -> "RationalInterval":
-        if self.is_empty or other.is_empty:
-            return EMPTY
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return RationalInterval(lo, hi)
-
-    def neg(self) -> "RationalInterval":
-        if self.is_empty:
-            return EMPTY
-        return RationalInterval(
-            None if self.hi is None else -self.hi,
-            None if self.lo is None else -self.lo,
-        )
-
-    def sub(self, other: "RationalInterval") -> "RationalInterval":
-        return self.add(other.neg())
-
-    def scale(self, c: Rat) -> "RationalInterval":
-        """The interval {c * x : x in self} for a rational c > 0; an
-        unbounded side stays unbounded."""
-        if self.is_empty:
-            return EMPTY
-        return RationalInterval(None if self.lo is None else self.lo * c,
-                                None if self.hi is None else self.hi * c)
+    # -- operations --------------------------------------------------------
 
     def intersect(self, other: "RationalInterval") -> "RationalInterval":
         if self.is_empty or other.is_empty:
@@ -114,10 +86,6 @@ class RationalInterval:
         if lo is not None and hi is not None and lo > hi:
             return EMPTY
         return RationalInterval(lo, hi)
-
-    # operator sugar
-    __add__ = add
-    __sub__ = sub
 
     def __str__(self) -> str:
         if self.is_empty:

@@ -255,7 +255,7 @@ class ExperimentSpec:
         return ExperimentSpec((ds,), fold_aggregation=fold_aggregation)
 
 
-def _class_totals(ts: AnyTestset) -> tuple[int, ...]:
+def class_totals(ts: AnyTestset) -> tuple[int, ...]:
     if isinstance(ts, MulticlassTestset):
         return ts.class_counts
     return (ts.p, ts.n)
@@ -264,7 +264,7 @@ def _class_totals(ts: AnyTestset) -> tuple[int, ...]:
 def _stratified_has_empty_fold(ts: AnyTestset, k: int) -> bool:
     # Under the even-split rule, the last fold receives floor(c/k) from each
     # class, so it is empty exactly when every class has fewer than k samples.
-    return all(c < k for c in _class_totals(ts))
+    return all(c < k for c in class_totals(ts))
 
 
 def check_fold_totals(testset: AnyTestset, folds: Sequence[AnyTestset],
@@ -272,10 +272,10 @@ def check_fold_totals(testset: AnyTestset, folds: Sequence[AnyTestset],
     """Raise FoldTotalsMismatch unless every known fold has the parent's
     kind and number of classes and the fold class counts sum to the
     parent's; `context` prefixes the message."""
-    want = _class_totals(testset)
+    want = class_totals(testset)
     got = [0] * len(want)
     for fold in folds:
-        totals = _class_totals(fold)
+        totals = class_totals(fold)
         if len(totals) != len(want) or isinstance(
                 testset, MulticlassTestset) != isinstance(fold, MulticlassTestset):
             raise FoldTotalsMismatch(
@@ -345,25 +345,20 @@ class Uncertainty:
 
     default_radius is the half-width of the interval around each reported
     value (typically 10^-k for k printed decimals); per_score_radius
-    overrides it per score id. solver_slack widens every constraint
-    further; it defaults to 0 because all arithmetic here is exact, and
-    exists to reproduce results of floating-point-solver tools.
+    overrides it per score id.
     """
 
-    __slots__ = ("default_radius", "per_score_radius", "solver_slack")
+    __slots__ = ("default_radius", "per_score_radius")
 
-    def __init__(self, default_radius, per_score_radius: Optional[Mapping] = None,
-                 solver_slack=0):
+    def __init__(self, default_radius, per_score_radius: Optional[Mapping] = None):
         radius = as_fraction(default_radius)
         per_score = {k: as_fraction(v) for k, v in (per_score_radius or {}).items()}
-        slack = as_fraction(solver_slack)
-        for label, v in [("default_radius", radius), ("solver_slack", slack),
+        for label, v in [("default_radius", radius),
                          *((f"radius for {k!r}", v) for k, v in per_score.items())]:
             if v < 0:
                 raise SpecError(f"{label} must be nonnegative, got {v}")
         object.__setattr__(self, "default_radius", radius)
         object.__setattr__(self, "per_score_radius", per_score)
-        object.__setattr__(self, "solver_slack", slack)
 
     def __setattr__(self, name, value):
         raise AttributeError("Uncertainty is immutable")
@@ -374,15 +369,12 @@ class Uncertainty:
     def __eq__(self, other):
         return (isinstance(other, Uncertainty)
                 and self.default_radius == other.default_radius
-                and self.per_score_radius == other.per_score_radius
-                and self.solver_slack == other.solver_slack)
+                and self.per_score_radius == other.per_score_radius)
 
     def __repr__(self):
         parts = [f"Uncertainty({self.default_radius!s}"]
         if self.per_score_radius:
             parts.append(f", per_score_radius={self.per_score_radius}")
-        if self.solver_slack:
-            parts.append(f", solver_slack={self.solver_slack!s}")
         return "".join(parts) + ")"
 
 
@@ -444,7 +436,7 @@ class ScoreReport:
         return f"ScoreReport({inner})"
 
 
-def infer_uncertainty(report: ScoreReport, solver_slack=0) -> Uncertainty:
+def infer_uncertainty(report: ScoreReport) -> Uncertainty:
     """Build an Uncertainty from the decimal texts of a report, giving each
     score the radius implied by its own digit count."""
     per_score = {}
@@ -455,7 +447,7 @@ def infer_uncertainty(report: ScoreReport, solver_slack=0) -> Uncertainty:
                 f"score {score_id!r} was reported numerically; the implied "
                 f"radius can only be inferred from decimal text")
         per_score[score_id] = infer_radius_from_text(text)
-    return Uncertainty(0, per_score_radius=per_score, solver_slack=solver_slack)
+    return Uncertainty(0, per_score_radius=per_score)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,11 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
   scores are refused (NonlinearScoreUnsupported).
 
 Cross-validated multiclass datasets compose the same way binary ones do:
-score-of-means pools the per-fold matrices (equivalent to checking the
-parent testset directly), mean-of-scores turns each fold into more integer
-variables — the trace for micro, a matrix for macro — joined by fold-mean
-constraints. Unknown fold splits are enumerated canonically under the
-configuration cap. Micro fold means need the micro score to be an affine
-function of the per-fold trace; that property is decided exactly by
-reading the formula off as a polynomial in t (see micro_affine), and it
+score-of-means pools to the parent testset, and mean-of-scores runs the
+OR over fold layouts of `folds`, with each fold's trace (micro) or matrix
+(macro) as variables. Micro fold means need the micro score to be an
+affine function of the per-fold trace; that property is decided exactly
+by reading the formula off as a polynomial in t (see micro_affine), and it
 holds for every registry score except jac, gm (for C > 2), plr and nlr.
 """
 
@@ -39,26 +37,27 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .binary import compute_targets
-from .errors import (
-    NonlinearScoreUnsupported,
-    TooManyConfigurations,
-    UnsupportedExperiment,
-)
+from .errors import NonlinearScoreUnsupported, UnsupportedExperiment
 from .feasibility import AffineConstraint, SolveOutcome, solve
-from .folds import config_cap, iter_fold_configurations, stratified_split_counts
+from .folds import mos_verdict
 from .intervals import RationalInterval
 from .model import (
     AggregationMode,
     ConsistencyResult,
+    ExperimentSpec,
     FoldingScheme,
     MulticlassTestset,
     ScoreReport,
     Uncertainty,
-    check_fold_totals,
+    validate_experiment,
 )
 from .scores import (ScoreDefinition, ScoreRegistry, default_registry,
-                     target_ends)
+                     require_linear, target_ends)
 from .values import _sqrt_if_perfect
+
+# Nothing here calls it, but perfbench/tracing.py patches it in this
+# module's namespace, so the name stays bound.
+from .folds import iter_fold_configurations  # noqa: F401
 
 MICRO_PREFIX = "micro-"
 MACRO_PREFIX = "macro-"
@@ -251,15 +250,6 @@ def _entries(scores: ScoreReport, registry: ScoreRegistry, family: str):
     return out
 
 
-def _require_affine(entries) -> None:
-    for rid, definition in entries:
-        if not definition.linear:
-            raise NonlinearScoreUnsupported(
-                f"score {rid!r} is not affine in the confusion counts; "
-                f"macro averages and fold means only yield linear "
-                f"constraints for affine scores (acc, sens, spec, bacc, ...)")
-
-
 # ---------------------------------------------------------------------------
 # single-testset checks
 # ---------------------------------------------------------------------------
@@ -441,7 +431,7 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
     its target interval? Exact for affine base scores; others are refused."""
     registry = registry or default_registry()
     entries = _entries(scores, registry, "macro")
-    _require_affine(entries)
+    require_linear(entries)
     targets, violation = compute_targets(scores, uncertainty, dict(entries))
     procedure = "multiclass_macro"
     if violation is not None:
@@ -487,37 +477,6 @@ def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
     return domains, constraints
 
 
-def _micro_fold_witness(traces: Sequence[int], fold_totals: Sequence[int],
-                        num_classes: int) -> list[dict]:
-    return [{"total": total, "trace": trace,
-             "pooled": micro_counts(trace, total, num_classes)}
-            for trace, total in zip(traces, fold_totals)]
-
-
-def _check_folded_mos(vectors: Sequence[tuple[int, ...]], num_classes: int,
-                      family: str, entries, targets,
-                      cache: dict) -> SolveOutcome:
-    """One fold layout under mean-of-scores; a feasible outcome's solution
-    is the witness entry of each fold. Only macro layouts can be excluded
-    (a macro score undefined on a fold)."""
-    if family == "micro":
-        fold_totals = [sum(v) for v in vectors]
-        domains, constraints = _micro_mean_system(
-            fold_totals, num_classes, entries, targets, cache)
-        assignment = solve(domains, constraints)
-        if assignment is None:
-            return SolveOutcome(evidence={
-                "reason": "no per-fold traces satisfy every fold-mean "
-                          "constraint"})
-        return SolveOutcome(_micro_fold_witness(assignment, fold_totals,
-                                                num_classes))
-    outcome = _solve_macro(vectors, entries, targets)
-    if not outcome.feasible:
-        return outcome
-    return SolveOutcome([{"class_counts": list(v), "matrix": m}
-                         for v, m in zip(vectors, outcome.solution)])
-
-
 def check_multiclass_dataset(testset: MulticlassTestset,
                              folding: Optional[FoldingScheme],
                              fold_aggregation: Optional[AggregationMode],
@@ -526,9 +485,13 @@ def check_multiclass_dataset(testset: MulticlassTestset,
                              cap: Optional[int] = None) -> ConsistencyResult:
     """Decide one multiclass dataset, folded or not.
 
-    Reported ids must all be micro-<id> or all macro-<id>; a mix (or a bare
-    id) is refused because the two averages constrain different variables.
+    The folding and the aggregation mode are validated as check_experiment
+    validates them. Reported ids must all be micro-<id> or all macro-<id>;
+    a mix (or a bare id) is refused because the two averages constrain
+    different variables.
     """
+    spec = validate_experiment(
+        ExperimentSpec.single(testset, folding, fold_aggregation))
     registry = registry or default_registry()
     families = {split_average_prefix(rid)[0] for rid in scores.ids}
     if "" in families:
@@ -543,11 +506,11 @@ def check_multiclass_dataset(testset: MulticlassTestset,
     single = (check_multiclass_micro if family == "micro"
               else check_multiclass_macro)
 
-    scheme = folding or FoldingScheme("none")
+    scheme = spec.datasets[0].folding
     if not scheme.is_folded:
         return single(testset, scores, uncertainty, registry)
 
-    if fold_aggregation is AggregationMode.SCORE_OF_MEANS:
+    if spec.fold_aggregation is AggregationMode.SCORE_OF_MEANS:
         # Pooling one-vs-rest counts over folds reproduces the parent
         # testset whatever the split, exactly as in the binary case.
         result = single(testset, scores, uncertainty, registry)
@@ -557,64 +520,38 @@ def check_multiclass_dataset(testset: MulticlassTestset,
 
     entries = _entries(scores, registry, family)
     if family == "macro":
-        _require_affine(entries)
+        require_linear(entries)
     targets, violation = compute_targets(scores, uncertainty, dict(entries))
     procedure = f"multiclass_{family}_mos"
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
     num_classes = testset.num_classes
-    cache: dict = {}
+    affine_cache: dict = {}
+    # Micro constraints depend only on the multiset of fold sizes, so a
+    # layout with the sizes of an earlier, infeasible one is not solved
+    # again.
+    infeasible_sizes: dict = {}
 
-    if scheme.kind == "known_folds":
-        check_fold_totals(testset, scheme.folds)
-        vectors = [f.class_counts for f in scheme.folds]
-        extra: dict = {"folding": "known_folds"}
-    elif scheme.kind == "stratified_kfold":
-        vectors = stratified_split_counts(testset.class_counts, scheme.k)
-        extra = {"folding": "stratified_kfold",
-                 "derived_folds": [list(v) for v in vectors]}
-    else:
-        return _check_unknown_folds_mos(testset, scheme.k, family, entries,
-                                        targets, procedure, cache, cap)
+    def decide(layout) -> SolveOutcome:
+        if family == "macro":
+            outcome = _solve_macro(layout, entries, targets)
+            if not outcome.feasible:
+                return outcome
+            return SolveOutcome([{"class_counts": list(v), "matrix": m}
+                                 for v, m in zip(layout, outcome.solution)])
+        fold_totals = [sum(v) for v in layout]
+        sizes = tuple(sorted(fold_totals))
+        if sizes not in infeasible_sizes:
+            assignment = solve(*_micro_mean_system(
+                fold_totals, num_classes, entries, targets, affine_cache))
+            if assignment is not None:
+                return SolveOutcome([
+                    {"total": total, "trace": trace,
+                     "pooled": micro_counts(trace, total, num_classes)}
+                    for trace, total in zip(assignment, fold_totals)])
+            infeasible_sizes[sizes] = SolveOutcome(evidence={
+                "reason": "no per-fold traces satisfy every fold-mean "
+                          "constraint"})
+        return infeasible_sizes[sizes]
 
-    outcome = _check_folded_mos(vectors, num_classes, family, entries,
-                                targets, cache)
-    witness = {"folds": outcome.solution} if outcome.feasible else None
-    return ConsistencyResult(not outcome.feasible, procedure, witness=witness,
-                             evidence={**(outcome.evidence or {}), **extra})
-
-
-def _check_unknown_folds_mos(testset: MulticlassTestset, k: int, family: str,
-                             entries, targets, procedure: str, cache: dict,
-                             cap: Optional[int]) -> ConsistencyResult:
-    """OR over canonical fold layouts of the per-class counts; layouts on
-    which a macro score is undefined are excluded from the OR."""
-    limit = config_cap(cap)
-    tried = excluded = 0
-    seen_totals: set = set()
-    num_classes = testset.num_classes
-    for config in iter_fold_configurations(testset.class_counts, k):
-        tried += 1
-        if tried > limit:
-            raise TooManyConfigurations(tried, limit)
-        if family == "micro":
-            # micro constraints depend only on the fold sizes
-            sizes = tuple(sorted(sum(v) for v in config))
-            if sizes in seen_totals:
-                continue
-            seen_totals.add(sizes)
-        outcome = _check_folded_mos(list(config), num_classes, family,
-                                    entries, targets, cache)
-        if outcome.excluded:
-            excluded += 1
-        elif outcome.feasible:
-            return ConsistencyResult(
-                False, procedure,
-                witness={"configuration": [list(v) for v in config],
-                         "folds": outcome.solution},
-                evidence={"configurations_tried": tried})
-    return ConsistencyResult(True, procedure, evidence={
-        "configurations_tried": tried,
-        "configurations_excluded": excluded,
-        "reason": "no fold layout admits a satisfying outcome",
-    })
+    return mos_verdict(procedure, testset.class_counts, scheme, cap, decide)

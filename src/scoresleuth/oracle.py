@@ -61,7 +61,7 @@ class OracleResult:
 def _targets(scores: ScoreReport, uncertainty: Uncertainty) -> dict:
     out = {}
     for score_id, value in scores.items():
-        radius = uncertainty.radius_for(score_id) + uncertainty.solver_slack
+        radius = uncertainty.radius_for(score_id)
         out[score_id] = RationalInterval.closed(value - radius, value + radius)
     return out
 

@@ -115,7 +115,7 @@ def check_regression(ctx: RegressionContext, scores: ScoreReport,
 
     intervals: dict[str, RationalInterval] = {}
     for score_id, value in scores.items():
-        radius = uncertainty.radius_for(score_id) + uncertainty.solver_slack
+        radius = uncertainty.radius_for(score_id)
         intervals[score_id] = RationalInterval.closed(
             value - radius, value + radius)
 
@@ -170,9 +170,12 @@ def check_regression(ctx: RegressionContext, scores: ScoreReport,
             mse_info = mse_info.intersect(intervals["mse"])
         if "rmse" in intervals:
             mse_info = mse_info.intersect(_square(intervals["rmse"]))
-        # without mse or rmse, mse_info is [0, +inf) and so is its scaling
-        implied = RationalInterval.point(1).sub(
-            mse_info.scale(1 / ctx.target_variance))
+        # [1 - hi/Var, 1 - lo/Var]; without mse or rmse, mse_info is
+        # [0, +inf), so the implied interval is open below
+        var = ctx.target_variance
+        implied = RationalInterval(
+            None if mse_info.hi is None else 1 - mse_info.hi / var,
+            1 - mse_info.lo / var)
         if implied.intersect(intervals["r2"]).is_empty:
             return inconsistent("r2_identity", {
                 "implied_r2": interval_payload(implied),

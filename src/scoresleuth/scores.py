@@ -67,7 +67,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import UnknownScoreId
+from .errors import NonlinearScoreUnsupported, UnknownScoreId
 from .intervals import RationalInterval
 from .values import ExactValue, sqrt_fraction, times_sqrt
 
@@ -587,6 +587,19 @@ class ScoreRegistry:
     def from_payload(payload: Mapping) -> "ScoreRegistry":
         return ScoreRegistry(
             [ScoreDefinition.from_payload(e) for e in payload["scores"]])
+
+
+def require_linear(entries) -> None:
+    """Refuse a report unless every score is affine in the confusion
+    counts; `entries` are (reported id, definition) pairs. A mean of
+    scores (over folds, datasets or classes) yields linear constraints
+    only for affine scores."""
+    for score_id, definition in entries:
+        if not definition.linear:
+            raise NonlinearScoreUnsupported(
+                f"score {score_id!r} is not affine in the confusion counts; "
+                f"a mean of scores only yields linear constraints for affine "
+                f"scores (acc, sens, spec, bacc, ...)")
 
 
 def fbeta_definition(beta, score_id: Optional[str] = None) -> ScoreDefinition:

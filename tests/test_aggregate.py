@@ -1,8 +1,12 @@
 """Aggregated experiments: score-of-means pooling, mean-of-scores over
 known/stratified/unknown folds, dataset-level means, and the dispatch
-rules of check_experiment."""
+rules of check_experiment. The OR over fold layouts is checked against
+brute force for unknown folds and for dataset means over folded
+datasets."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +33,8 @@ from scoresleuth.model import (
     Testset,
     Uncertainty,
 )
-from scoresleuth.oracle import brute_force_mos
+from scoresleuth.folds import iter_fold_configurations, stratified_split_counts
+from scoresleuth.oracle import brute_force_mos, render_decimal
 from scoresleuth.scores import default_registry
 
 F = Fraction
@@ -259,22 +264,28 @@ def test_datasets_som_over_fold_mos_is_refused():
 
 def test_datasets_mos_matches_fold_mos_oracle():
     # A dataset-level mean over unfolded datasets is the same object as a
-    # fold-level mean over those testsets, so the tiny oracle applies.
+    # fold-level mean over those testsets, so the fold-mean oracle applies,
+    # to the verdict and to the witness.
     rng = random.Random(96)
-    for _ in range(40):
-        sizes = [Testset(rng.randint(1, 4), rng.randint(1, 4))
+    start = time.perf_counter()
+    outcomes = set()
+    for _ in range(150):
+        sizes = [Testset(rng.randint(0, 4), rng.randint(1, 4))
                  for _ in range(rng.randint(2, 3))]
-        scores = ScoreReport.of(
-            **{rng.choice(["acc", "sens", "spec"]): f"0.{rng.randint(0, 9)}"})
+        k = rng.choice([1, 2])
+        layout = tuple((t.p, t.n) for t in sizes)
+        scores = ScoreReport(layout_report(rng, [[layout]], k))
         spec = ExperimentSpec(tuple(DatasetSpec(ts) for ts in sizes),
                               dataset_aggregation=MOS)
-        res = check_experiment(spec, scores, U(1))
-        oracle = brute_force_mos(sizes, scores, U(1))
-        assert res.inconsistency == oracle.inconsistency
+        res = check_experiment(spec, scores, U(k))
+        oracle = brute_force_mos(sizes, scores, U(k))
+        assert res.inconsistency == oracle.inconsistency, (sizes, scores)
+        outcomes.add(res.inconsistency)
         if not res.inconsistency:
-            score_id = scores.ids[0]
-            got = mean_of(score_id, sizes, {"folds": res.witness["datasets"]})
-            assert abs(got - scores.value(score_id)) <= F(1, 10)
+            picked = tuple((d["tp"], d["tn"]) for d in res.witness["datasets"])
+            assert picked in set(oracle.witnesses), (sizes, scores)
+    assert outcomes == {True, False}
+    assert time.perf_counter() - start < 10
 
 
 def test_datasets_mos_procedure_and_witness_shape():
@@ -292,3 +303,171 @@ def test_experiment_cap_propagates():
     with pytest.raises(TooManyConfigurations):
         check_experiment(spec, ScoreReport.of(acc="0.1234"), Uncertainty(F(0)),
                          cap=50)
+
+
+# ------------------------------------- OR over fold layouts vs brute force
+
+LINEAR_IDS = ["acc", "err", "sens", "spec", "fpr", "fnr", "bacc", "youden"]
+
+
+def layout_report(rng, alternatives, k):
+    """Half the time a report true on a random layout of each dataset (one
+    list of layouts per dataset, each layout a tuple of (p, n) folds),
+    rendered at k decimals; otherwise, or when a score is undefined there,
+    arbitrary values."""
+    registry = default_registry()
+    chosen = rng.sample(LINEAR_IDS, rng.randint(1, 3))
+    if rng.random() < 0.5:
+        layouts = [rng.choice(alts) for alts in alternatives]
+        counts = [[(rng.randint(0, p), rng.randint(0, n)) for p, n in layout]
+                  for layout in layouts]
+        entries = {}
+        for sid in chosen:
+            d = registry.get(sid)
+            means = []
+            for layout, outcome in zip(layouts, counts):
+                values = [d.value(tp, tn, p, n)
+                          for (tp, tn), (p, n) in zip(outcome, layout)]
+                if any(v is None for v in values):
+                    break
+                means.append(sum(values) / len(values))
+            else:
+                entries[sid] = render_decimal(sum(means) / len(means), k,
+                                              rng.choice(["round", "truncate"]))
+        if entries:
+            return entries
+    return {sid: f"{rng.uniform(-0.1, 1.1):.{k}f}" for sid in chosen}
+
+
+def test_unknown_folds_match_the_or_of_fold_mean_oracles():
+    rng = random.Random(60221)
+    start = time.perf_counter()
+    verdicts = set()
+    excluded = 0
+    for _ in range(400):
+        folds = rng.choice([2, 3])
+        p, n = rng.randint(0, 5), rng.randint(0, 5)
+        ts = Testset(p if p + n >= folds else p + folds, n)
+        k = rng.choice([1, 2])
+        layouts = list(iter_fold_configurations((ts.p, ts.n), folds))
+        scores = ScoreReport(layout_report(rng, [layouts], k))
+        res = check_mos_unknown_folds(ts, folds, scores, U(k))
+        witnesses = {layout: set(brute_force_mos(
+            [Testset(p, n) for p, n in layout], scores, U(k)).witnesses)
+            for layout in layouts}
+        assert res.inconsistency == (not any(witnesses.values())), (
+            ts, folds, scores)
+        verdicts.add(res.inconsistency)
+        if res.inconsistency:
+            excluded += res.evidence.get("configurations_excluded", 0) > 0
+        else:
+            layout = tuple(tuple(v) for v in res.witness["configuration"])
+            picked = tuple((c["tp"], c["tn"]) for c in res.witness["folds"])
+            assert picked in witnesses[layout], (ts, folds, scores)
+    assert verdicts == {True, False} and excluded
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10
+    print(f"unknown folds: 400 instances agree with the oracle OR "
+          f"({excluded} with excluded layouts), {elapsed:.1f}s")
+
+
+def dataset_alternatives(spec):
+    """Each dataset's fold layouts, derived independently of the engine's
+    dispatch: the testset itself when unfolded."""
+    out = []
+    for ds in spec.datasets:
+        totals = (ds.testset.p, ds.testset.n)
+        if ds.folding.kind == "stratified_kfold":
+            out.append([tuple(stratified_split_counts(totals, ds.folding.k))])
+        elif ds.folding.kind == "unknown_folds_kfold":
+            out.append(list(iter_fold_configurations(totals, ds.folding.k)))
+        else:
+            out.append([(totals,)])
+    return out
+
+
+def nested_oracle(alternatives, scores, uncertainty):
+    """Brute force over every layout of every dataset and every outcome on
+    every fold: does one choice per dataset put the mean of the
+    dataset-level values (fold means of ScoreDefinition.value) of every
+    score in its target? A choice on which a score is undefined on some
+    fold is left out."""
+    registry = default_registry()
+    definitions = [registry.get(sid) for sid in scores.ids]
+    per_dataset = []
+    for layouts in alternatives:
+        vectors = set()
+        for layout in layouts:
+            grids = [itertools.product(range(p + 1), range(n + 1))
+                     for p, n in layout]
+            for outcome in itertools.product(*grids):
+                vector = []
+                for d in definitions:
+                    values = [d.value(tp, tn, p, n)
+                              for (tp, tn), (p, n) in zip(outcome, layout)]
+                    if None in values:
+                        break
+                    vector.append(sum(values) / len(values))
+                else:
+                    vectors.add(tuple(vector))
+        per_dataset.append(vectors)
+    bounds = [(v - uncertainty.radius_for(sid), v + uncertainty.radius_for(sid))
+              for sid, v in scores.items()]
+    D = len(alternatives)
+    return any(all(lo <= sum(col) / D <= hi
+                   for (lo, hi), col in zip(bounds, zip(*combo)))
+               for combo in itertools.product(*per_dataset))
+
+
+def test_dataset_means_over_folded_datasets_match_nested_brute_force():
+    rng = random.Random(4181)
+    start = time.perf_counter()
+    verdicts = set()
+    registry = default_registry()
+    for trial in range(300):
+        datasets = []
+        for d in range(2):
+            ts = Testset(rng.randint(3, 4), rng.randint(0, 3))
+            kind = ["stratified", "unknown", "none"][(trial + d) % 3]
+            if d == 1 and not any(x.folding.is_folded for x in datasets):
+                kind = rng.choice(["stratified", "unknown"])
+            k = rng.choice([2, 3])
+            folding = {"stratified": FoldingScheme.stratified(k),
+                       "unknown": FoldingScheme.unknown(k),
+                       "none": FoldingScheme.none()}[kind]
+            datasets.append(DatasetSpec(ts, folding))
+        spec = ExperimentSpec(tuple(datasets), fold_aggregation=MOS,
+                              dataset_aggregation=MOS)
+        alternatives = dataset_alternatives(spec)
+        k = rng.choice([1, 2])
+        scores = ScoreReport(layout_report(rng, alternatives, k))
+        res = check_experiment(spec, scores, U(k))
+        feasible = nested_oracle(alternatives, scores, U(k))
+        assert res.inconsistency == (not feasible), (spec, scores)
+        verdicts.add(res.inconsistency)
+        if res.inconsistency:
+            continue
+        # the witness picks an allowed layout per dataset, and its outcomes
+        # reproduce every reported mean
+        means = {sid: F(0) for sid in scores.ids}
+        for ds, alts, entry in zip(spec.datasets, alternatives,
+                                   res.witness["datasets"]):
+            if not ds.folding.is_folded:
+                layout, counts = alts[0], [entry]
+            else:
+                layout = (tuple(tuple(v) for v in entry["configuration"])
+                          if "configuration" in entry else alts[0])
+                counts = entry["folds"]
+            assert layout in alts
+            for sid in scores.ids:
+                d = registry.get(sid)
+                values = [d.value(c["tp"], c["tn"], p, n)
+                          for c, (p, n) in zip(counts, layout)]
+                means[sid] += sum(values) / len(values)
+        for sid in scores.ids:
+            assert abs(means[sid] / 2 - scores.value(sid)) <= F(1, 10 ** k)
+    assert verdicts == {True, False}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10
+    print(f"folded dataset means: 300 instances agree with the nested "
+          f"oracle, {elapsed:.1f}s")

@@ -1,32 +1,31 @@
-"""Fold-size derivation (stratified rule) and unknown-configuration
-enumeration with its cap."""
+"""Fold layouts: the stratified rule, unknown-configuration enumeration
+with its cap, and the OR over layouts."""
 
 import pytest
 
 from scoresleuth.errors import InvalidFoldCount, TooManyConfigurations
+from scoresleuth.feasibility import SolveOutcome
 from scoresleuth.folds import (
     DEFAULT_CONFIG_CAP,
     config_cap,
     enumerate_fold_configurations,
-    enumerate_stratified_fold_sizes,
+    first_feasible,
+    fold_layouts,
     iter_fold_configurations,
     stratified_split_counts,
 )
-from scoresleuth.model import Testset
+from scoresleuth.model import FoldingScheme, MulticlassTestset, Testset
 
 
 class TestStratified:
     def test_uneven_split(self):
-        assert enumerate_stratified_fold_sizes(5, 5, 2) == \
-            [Testset(3, 3), Testset(2, 2)]
+        assert stratified_split_counts((5, 5), 2) == [(3, 3), (2, 2)]
 
     def test_exact_split(self):
-        assert enumerate_stratified_fold_sizes(4, 4, 2) == \
-            [Testset(2, 2), Testset(2, 2)]
+        assert stratified_split_counts((4, 4), 2) == [(2, 2), (2, 2)]
 
     def test_class_exhausted_before_last_fold(self):
-        assert enumerate_stratified_fold_sizes(1, 5, 2) == \
-            [Testset(1, 3), Testset(0, 2)]
+        assert stratified_split_counts((1, 5), 2) == [(1, 3), (0, 2)]
 
     def test_empty_fold_rejected(self):
         with pytest.raises(InvalidFoldCount):
@@ -36,9 +35,9 @@ class TestStratified:
 
     def test_totals_preserved(self):
         for p, n, k in [(7, 11, 3), (2, 9, 4), (10, 10, 5)]:
-            folds = enumerate_stratified_fold_sizes(p, n, k)
-            assert sum(f.p for f in folds) == p
-            assert sum(f.n for f in folds) == n
+            folds = stratified_split_counts((p, n), k)
+            assert sum(f[0] for f in folds) == p
+            assert sum(f[1] for f in folds) == n
             assert len(folds) == k
 
 
@@ -83,3 +82,44 @@ class TestConfigurations:
         assert config_cap() == 777
         monkeypatch.delenv("SCORESLEUTH_CONFIG_CAP")
         assert config_cap() == DEFAULT_CONFIG_CAP
+
+
+class TestLayouts:
+    def test_known_and_stratified_give_one_layout(self):
+        known = FoldingScheme.known([Testset(2, 1), Testset(1, 2)])
+        assert list(fold_layouts((3, 3), known)) == [((2, 1), (1, 2))]
+        multi = FoldingScheme.known([MulticlassTestset((1, 2, 0)),
+                                     MulticlassTestset((1, 0, 2))])
+        assert list(fold_layouts((2, 2, 2), multi)) == [((1, 2, 0), (1, 0, 2))]
+        assert list(fold_layouts((5, 5), FoldingScheme.stratified(2))) == \
+            [((3, 3), (2, 2))]
+
+    def test_unknown_gives_every_configuration(self):
+        layouts = list(fold_layouts((4, 3), FoldingScheme.unknown(3)))
+        assert layouts == list(iter_fold_configurations((4, 3), 3))
+
+    def test_unknown_cap_is_lazy(self):
+        # The cap stops the enumeration only when it is exceeded, so an OR
+        # that ends early never meets it.
+        layouts = fold_layouts((10, 10), FoldingScheme.unknown(5), cap=3)
+        assert len([next(layouts) for _ in range(3)]) == 3
+        with pytest.raises(TooManyConfigurations) as exc:
+            next(layouts)
+        assert (exc.value.count, exc.value.cap) == (4, 3)
+
+
+class TestFirstFeasible:
+    OUTCOMES = {"a": SolveOutcome(excluded=True),
+                "b": SolveOutcome(evidence={"reason": "none"}),
+                "c": SolveOutcome(["witness"]),
+                "d": SolveOutcome(["other"])}
+
+    def test_stops_at_the_first_feasible_layout(self):
+        layout, outcome, tried, excluded = first_feasible(
+            "abcd", self.OUTCOMES.__getitem__)
+        assert (layout, outcome.solution, tried, excluded) == ("c", ["witness"], 3, 1)
+
+    def test_returns_the_last_outcome_when_none_is_feasible(self):
+        layout, outcome, tried, excluded = first_feasible(
+            "aba", self.OUTCOMES.__getitem__)
+        assert (layout, outcome.excluded, tried, excluded) == ("a", True, 3, 2)

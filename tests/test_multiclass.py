@@ -5,6 +5,7 @@ private building block's own contract."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,14 @@ import pytest
 from scoresleuth.aggregate import check_experiment
 from scoresleuth.binary import compute_targets
 from scoresleuth.errors import (
+    ExtraneousAggregationMode,
     FoldTotalsMismatch,
+    MissingAggregationMode,
     NonlinearScoreUnsupported,
     TooManyConfigurations,
     UnsupportedExperiment,
 )
+from scoresleuth.folds import iter_fold_configurations
 from scoresleuth.model import (
     AggregationMode,
     DatasetSpec,
@@ -347,10 +351,38 @@ def test_macro_mos_known_folds_quarter_grid():
     assert bad.inconsistency
 
 
+def micro_mean_feasible(folds, rid, value):
+    """Trace-product oracle: do some per-fold traces put the fold mean of
+    the micro score within 0.01 of `value`?"""
+    d = default_registry().get(split_average_prefix(rid)[1])
+    c = folds[0].num_classes
+    lo, hi = F(value) - F(1, 100), F(value) + F(1, 100)
+    return any(
+        lo <= sum(micro_value(d, t, f.size, c)
+                  for t, f in zip(traces, folds)) / len(folds) <= hi
+        for traces in itertools.product(*(range(f.size + 1) for f in folds)))
+
+
+def macro_sens_mean_feasible(folds, value):
+    """Matrix-product oracle for macro-sens: do some per-fold confusion
+    diagonals put the fold mean within 0.01 of `value`? A fold with an
+    empty class has no finite macro-sens, so it admits nothing."""
+    def fold_values(fold):
+        if 0 in fold.class_counts:
+            return set()
+        rows = [range(c + 1) for c in fold.class_counts]
+        return {sum(F(t, c) for t, c in zip(diag, fold.class_counts))
+                / len(fold.class_counts)
+                for diag in itertools.product(*rows)}
+
+    lo, hi = F(value) - F(1, 100), F(value) + F(1, 100)
+    return any(lo <= sum(combo) / len(folds) <= hi
+               for combo in itertools.product(*map(fold_values, folds)))
+
+
 def test_micro_mos_agrees_with_trace_product_oracle():
     rng = random.Random(555)
     ids = ["micro-acc", "micro-sens", "micro-f1"]
-    registry = default_registry()
     for _ in range(40):
         c = rng.randint(2, 3)
         folds = []
@@ -365,21 +397,12 @@ def test_micro_mos_agrees_with_trace_product_oracle():
         value = f"0.{rng.randint(0, 99):02d}"
         res = check_multiclass_dataset(ts, FoldingScheme.known(folds), MOS,
                                        ScoreReport.of(**{rid: value}), U(2))
-        d = registry.get(split_average_prefix(rid)[1])
-        target_lo = F(value) - F(1, 100)
-        target_hi = F(value) + F(1, 100)
-        feasible = any(
-            target_lo <= sum(
-                micro_value(d, t, f.size, c) for t, f in zip(traces, folds)
-            ) / len(folds) <= target_hi
-            for traces in itertools.product(
-                *(range(f.size + 1) for f in folds)))
+        feasible = micro_mean_feasible(folds, rid, value)
         assert res.inconsistency == (not feasible), (folds, rid, value)
 
 
 def test_macro_mos_agrees_with_matrix_product_oracle():
     rng = random.Random(808)
-    registry = default_registry()
     for _ in range(25):
         folds = [MulticlassTestset((rng.randint(1, 2), rng.randint(1, 2)))
                  for _ in range(2)]
@@ -389,21 +412,74 @@ def test_macro_mos_agrees_with_matrix_product_oracle():
         res = check_multiclass_dataset(
             ts, FoldingScheme.known(folds), MOS,
             ScoreReport.of(**{"macro-sens": value}), U(2))
-        d = registry.get("sens")
-
-        def fold_values(fold):
-            out = set()
-            rows = [range(c + 1) for c in fold.class_counts]
-            for diag in itertools.product(*rows):
-                out.add(sum(F(t, c) for t, c in zip(diag, fold.class_counts))
-                        / len(fold.class_counts))
-            return out
-
-        lo, hi = F(value) - F(1, 100), F(value) + F(1, 100)
-        feasible = any(
-            lo <= sum(combo) / len(folds) <= hi
-            for combo in itertools.product(*map(fold_values, folds)))
+        feasible = macro_sens_mean_feasible(folds, value)
         assert res.inconsistency == (not feasible), (folds, value)
+
+
+def test_unknown_folds_micro_mos_matches_the_or_of_trace_oracles():
+    rng = random.Random(1729)
+    ids = ["micro-acc", "micro-sens", "micro-f1"]
+    start = time.perf_counter()
+    verdicts = set()
+    for _ in range(300):
+        c = rng.randint(2, 3)
+        k = rng.randint(2, 3)
+        counts = [rng.randint(0, 3) for _ in range(c)]
+        counts[0] += max(0, k - sum(counts))
+        rid = rng.choice(ids)
+        value = f"0.{rng.randint(0, 99):02d}"
+        res = check_multiclass_dataset(
+            MulticlassTestset(counts), FoldingScheme.unknown(k), MOS,
+            ScoreReport.of(**{rid: value}), U(2))
+        feasible = {layout for layout in iter_fold_configurations(counts, k)
+                    if micro_mean_feasible(
+                        [MulticlassTestset(v) for v in layout], rid, value)}
+        assert res.inconsistency == (not feasible), (counts, k, rid, value)
+        verdicts.add(res.inconsistency)
+        if not res.inconsistency:
+            layout = tuple(tuple(v) for v in res.witness["configuration"])
+            assert layout in feasible
+            d = default_registry().get(split_average_prefix(rid)[1])
+            mean = sum(micro_value(d, f["trace"], f["total"], c)
+                       for f in res.witness["folds"]) / k
+            assert [f["total"] for f in res.witness["folds"]] == \
+                [sum(v) for v in layout]
+            assert abs(mean - F(value)) <= F(1, 100)
+    assert verdicts == {True, False}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10
+    print(f"unknown micro folds: 300 instances agree with the oracle OR, "
+          f"{elapsed:.1f}s")
+
+
+def test_unknown_folds_macro_mos_matches_the_or_of_matrix_oracles():
+    rng = random.Random(1913)
+    start = time.perf_counter()
+    verdicts = set()
+    for _ in range(200):
+        k = rng.randint(2, 3)
+        counts = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        counts[0] += max(0, k - sum(counts))
+        value = f"0.{rng.randint(0, 99):02d}"
+        res = check_multiclass_dataset(
+            MulticlassTestset(counts), FoldingScheme.unknown(k), MOS,
+            ScoreReport.of(**{"macro-sens": value}), U(2))
+        feasible = {layout for layout in iter_fold_configurations(counts, k)
+                    if macro_sens_mean_feasible(
+                        [MulticlassTestset(v) for v in layout], value)}
+        assert res.inconsistency == (not feasible), (counts, k, value)
+        verdicts.add(res.inconsistency)
+        if not res.inconsistency:
+            layout = tuple(tuple(v) for v in res.witness["configuration"])
+            assert layout in feasible
+            mean = sum(macro_mean("macro-sens", f["matrix"], f["class_counts"])
+                       for f in res.witness["folds"]) / k
+            assert abs(mean - F(value)) <= F(1, 100)
+    assert verdicts == {True, False}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10
+    print(f"unknown macro folds: 200 instances agree with the oracle OR, "
+          f"{elapsed:.1f}s")
 
 
 def test_unknown_folds_micro_mos_smoke():
@@ -421,6 +497,21 @@ def test_unknown_folds_cap():
         check_multiclass_dataset(ts, FoldingScheme.unknown(3), MOS,
                                  ScoreReport.of(**{"micro-acc": "0.1234"}),
                                  Uncertainty(F(0)), cap=2)
+
+
+def test_folded_dataset_needs_an_aggregation_mode():
+    with pytest.raises(MissingAggregationMode):
+        check_multiclass_dataset(MulticlassTestset((4, 4)),
+                                 FoldingScheme.stratified(2), None,
+                                 ScoreReport.of(**{"micro-acc": "0.5"}), U(2))
+
+
+def test_unfolded_dataset_refuses_an_aggregation_mode():
+    for folding in (None, FoldingScheme.none()):
+        with pytest.raises(ExtraneousAggregationMode):
+            check_multiclass_dataset(MulticlassTestset((4, 4)), folding, MOS,
+                                     ScoreReport.of(**{"micro-acc": "0.5"}),
+                                     U(2))
 
 
 def test_mos_refuses_nonaffine_micro_scores():

@@ -52,6 +52,27 @@ def test_r2_identity_violated():
     assert res.evidence["reported_r2"] is not None
 
 
+def test_implied_r2_from_a_bounded_mse_interval():
+    # mse in [0.9999, 1.0001] and Var(y) = 4 imply r2 in
+    # [1 - 1.0001/4, 1 - 0.9999/4].
+    res = check_regression(RegressionContext(target_variance=4),
+                           ScoreReport.of(mse="1.0", r2="0.8"), U(4))
+    assert res.evidence["implied_r2"] == ["29999/40000", "30001/40000"]
+    # mse clipped at 0 gives an implied r2 interval that ends at 1
+    res = check_regression(RegressionContext(target_variance=1),
+                           ScoreReport.of(mse="0.0", r2="0.5"), U(4))
+    assert res.evidence["implied_r2"] == ["9999/10000", "1"]
+
+
+def test_r2_alone_implies_an_interval_open_below():
+    # Without mse or rmse, mse is only known to be >= 0, so the implied r2
+    # interval is (-inf, 1]: no r2 inside its valid range can clash with it.
+    for extra in ({}, {"mae": "3.0"}):
+        res = check_regression(RegressionContext(target_variance=4),
+                               ScoreReport.of(r2="-1000.0", **extra), U(4))
+        assert not res.inconsistency
+
+
 # ------------------------------------------------------ errors and context
 
 def test_r2_without_variance():
