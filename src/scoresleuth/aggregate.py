@@ -102,8 +102,7 @@ def _solve_mos_groups(groups: Sequence[_Group], targets,
                 coeffs.append(coeff * a)
                 coeffs.append(coeff * b)
                 constant += coeff * c
-        constraints.append(
-            AffineConstraint(tuple(coeffs), constant, target, label=score_id))
+        constraints.append(AffineConstraint(tuple(coeffs), constant, target))
 
     assignment = solve(domains, constraints)
     if assignment is None:

@@ -69,7 +69,6 @@ class AffineConstraint:
     coeffs: tuple[Fraction, ...]
     constant: Fraction
     bounds: RationalInterval
-    label: str = ""
 
     def __post_init__(self):
         if self.bounds.is_empty:

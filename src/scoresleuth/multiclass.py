@@ -24,20 +24,24 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
 Cross-validated multiclass datasets compose the same way binary ones do:
 score-of-means pools to the parent testset, and mean-of-scores runs the
 OR over fold layouts of `folds`, with each fold's trace (micro) or matrix
-(macro) as variables. Micro fold means need the micro score to be an
-affine function of the per-fold trace; that property is decided exactly
-by reading the formula off as a polynomial in t (see micro_affine), and it
-holds for every registry score except jac, gm (for C > 2), plr and nlr.
+(macro) as variables. Micro fold means need the micro score's values at a
+fold's integer traces to lie on one line with rational slope; micro_affine
+decides that exactly from the values at t = 0 and t = 1 and an integer
+comparison at every other trace. On folds of two or more samples it holds
+for every registry score except jac, plr, nlr and gm (for C > 2); on a
+single-sample fold the two traces always lie on a line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .binary import compute_targets
-from .errors import NonlinearScoreUnsupported, UnsupportedExperiment
+from .errors import (NonlinearScoreUnsupported, SpecError,
+                     UnsupportedExperiment)
 from .feasibility import AffineConstraint, SolveOutcome, solve
 from .folds import mos_verdict
 from .intervals import RationalInterval
@@ -53,7 +57,6 @@ from .model import (
 )
 from .scores import (ScoreDefinition, ScoreRegistry, default_registry,
                      require_linear, target_ends)
-from .values import _sqrt_if_perfect
 
 # Nothing here calls it, but perfbench/tracing.py patches it in this
 # module's namespace, so the name stays bound.
@@ -101,134 +104,37 @@ def micro_value(definition: ScoreDefinition, trace: int, total: int,
 
 
 # ---------------------------------------------------------------------------
-# micro scores as polynomials in the trace
+# micro scores as lines in the trace
 # ---------------------------------------------------------------------------
 
 
-class _Poly:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    Instances are pushed through a score's compiled formula (which uses
-    only +, - and *) in place of the integer counts, reading the formula
-    off as exact polynomials in the free trace variable."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # the zero polynomial has degree -1
-
-    def coef(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        size = max(len(self.coeffs), len(other.coeffs))
-        return _Poly([self.coef(i) + other.coef(i) for i in range(size)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return _Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"_Poly({list(self.coeffs)})"
-
-
-def _as_poly(v) -> _Poly:
-    return v if isinstance(v, _Poly) else _Poly((Fraction(v),))
-
-
-def _affine_ratio(num: _Poly, den: _Poly):
-    """(a, b) with num/den == a*t + b everywhere, else None. Requires a
-    nonzero constant denominator so the quotient is defined at every t."""
-    if den.degree != 0:
-        return None
-    d0 = den.coef(0)
-    if num.degree > 1:
-        return None
-    return num.coef(1) / d0, num.coef(0) / d0
-
-
-def _affine_sqrt(num: _Poly, den: _Poly, total: int):
-    """(a, b) with sqrt(num/den) == a*t + b for all t in [0, total], else
-    None. Holds exactly when num/den is the square of an affine function
-    that stays nonnegative on the interval."""
-    if den.degree != 0 or num.degree > 2:
-        return None
-    d0 = den.coef(0)
-    r2, r1, r0 = num.coef(2) / d0, num.coef(1) / d0, num.coef(0) / d0
-    if r2 < 0 or r0 < 0:
-        return None
-    alpha = _sqrt_if_perfect(r2)
-    beta = _sqrt_if_perfect(r0)
-    if alpha is None or beta is None:
-        return None
-    for a, b in ((alpha, beta), (alpha, -beta), (-alpha, beta), (-alpha, -beta)):
-        if 2 * a * b == r1 and b >= 0 and a * total + b >= 0:
-            return a, b
-    return None
-
-
 def micro_affine(definition: ScoreDefinition, total: int, num_classes: int):
-    """Exact affine form of the micro-averaged score as a function of the
-    trace: (a, b) with value == a*t + b for every t in [0, total], or None
-    when the score is not affine in t (or could be undefined for some t).
+    """Exact affine form of the micro-averaged score in the trace: (a, b)
+    with rational a and b and value == a*t + b at every integer trace t in
+    [0, total], or None when there is no such line. `total` is at least 1.
 
-    The decision is symbolic, not sampled: the formula's numerator and
-    denominator are read off as exact polynomials in t, so a None here is
-    a proof that no affine form with rational coefficients exists on this
-    testset shape (which is what a linear constraint would need).
+    Lemma: a fold-mean row only ever evaluates a micro score at the
+    integer traces t = 0..total, so the score enters the row linearly iff
+    its values there lie on one line with rational slope. The values at
+    t = 0 and t = 1 fix that line, so both must be defined and rational;
+    written as (A*t + B)/D with integers A, B and D > 0, the line is then
+    checked against every t >= 2 by compare(), which decides value(t) ==
+    (A*t + B)/D exactly on the formula's integer output. Undefined or off
+    the line at any trace means no line exists, so a None is a proof.
     """
-    t = _Poly((0, 1))
-    kind, parts = definition.formula_parts(
-        t, _Poly((total * (num_classes - 2), 1)),
-        _Poly((total,)), _Poly((total * (num_classes - 1),)))
-    parts = tuple(_as_poly(x) for x in parts)
-    if kind == "rational":
-        return _affine_ratio(parts[0], parts[1])
-    if kind == "sqrt":
-        return _affine_sqrt(parts[0], parts[1], total)
-    tnum, tden, rnum, rden = parts
-    # (TN/TD) / sqrt(RN/RD) is affine only when the radicand is a positive
-    # perfect-square constant, folding the value back to a rational form.
-    if tden.degree != 0 or rden.degree != 0 or rnum.degree != 0:
+    v0 = micro_value(definition, 0, total, num_classes)
+    v1 = micro_value(definition, 1, total, num_classes)
+    if not isinstance(v0, Fraction) or not isinstance(v1, Fraction):
         return None
-    td0, rn0, rd0 = tden.coef(0), rnum.coef(0), rden.coef(0)
-    if td0 == 0 or rn0 == 0 or rd0 == 0 or rn0 * rd0 < 0:
-        return None
-    root = _sqrt_if_perfect(rn0 / rd0)
-    if root is None:
-        # irrational constant multiplier: affine only for a zero numerator
-        return (Fraction(0), Fraction(0)) if tnum.degree == -1 else None
-    scalar = root * rd0 / (td0 * rn0)
-    if tnum.degree > 1:
-        return None
-    return tnum.coef(1) * scalar, tnum.coef(0) * scalar
+    a, b = v1 - v0, v0
+    den = math.lcm(a.denominator, b.denominator)
+    slope = a.numerator * (den // a.denominator)
+    offset = b.numerator * (den // b.denominator)
+    for t in range(2, total + 1):
+        if definition.compare(*_pooled_args(t, total, num_classes),
+                              slope * t + offset, den) != 0:
+            return None
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +273,7 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
             coeffs[tp_var(j, i)] = Fraction(1)
             coeffs[fp_var(j, i)] = Fraction(1)
         constraints.append(AffineConstraint(
-            tuple(coeffs), Fraction(0), RationalInterval.point(total),
-            label=f"fold{j}.balance"))
+            tuple(coeffs), Fraction(0), RationalInterval.point(total)))
         # fp_i + fn_i <= sum fn, written as fp_i + sum_{l != i} tp_l <= total - c_i
         for i, c in enumerate(counts):
             coeffs = [Fraction(0)] * nvars
@@ -378,8 +283,7 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
                     coeffs[tp_var(j, l)] = Fraction(1)
             constraints.append(AffineConstraint(
                 tuple(coeffs), Fraction(0),
-                RationalInterval(None, Fraction(total - c)),
-                label=f"fold{j}.margin{i}"))
+                RationalInterval(None, Fraction(total - c))))
 
     weight = Fraction(1, k * num_classes)
     for rid, definition in entries:
@@ -404,7 +308,7 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
                 coeffs[fp_var(j, i)] -= weight * b
                 constant += weight * (b * (total - c) + cst)
         constraints.append(AffineConstraint(tuple(coeffs), constant,
-                                            targets[rid], label=rid))
+                                            targets[rid]))
 
     assignment = solve(domains, constraints)
     if assignment is None:
@@ -473,7 +377,7 @@ def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
             coeffs.append(a / k)
             constant += b / k
         constraints.append(AffineConstraint(tuple(coeffs), constant,
-                                            targets[rid], label=rid))
+                                            targets[rid]))
     return domains, constraints
 
 
@@ -490,6 +394,9 @@ def check_multiclass_dataset(testset: MulticlassTestset,
     a mix (or a bare id) is refused because the two averages constrain
     different variables.
     """
+    if not isinstance(testset, MulticlassTestset):
+        raise SpecError(f"a multiclass check needs a MulticlassTestset, got "
+                        f"{type(testset).__name__}")
     spec = validate_experiment(
         ExperimentSpec.single(testset, folding, fold_aggregation))
     registry = registry or default_registry()

@@ -42,10 +42,11 @@ gives the exact sign of score - c for a rational threshold c from the
 compiled formula's integer output (cross-multiplication, and sign
 analysis then squares for the square-root kinds), and within() tests
 membership in a target with it; inversion corners, the pointwise
-verification of binary.py and the multiclass micro scan all use it at
-int counts. value() builds the Fraction or SqrtRational where a score is
-needed as a number: affine coefficients for fold means, evaluate(), the
-brute-force oracles and checkers that recompute a witness.
+verification of binary.py, the multiclass micro scan and its line check
+for fold means all use it at int counts. value() builds the Fraction or
+SqrtRational where a score is needed as a number: affine coefficients for
+fold means, evaluate(), the brute-force oracles and checkers that
+recompute a witness.
 
 invert() may be given a box `near`, such as its own result for the
 previous column of a scan or the previous round of a prune, and then
@@ -329,16 +330,6 @@ class ScoreDefinition:
 
     def value_of(self, counts: ConfusionCounts) -> Optional[ExactValue]:
         return self.value(counts.tp, counts.tn, counts.p, counts.n)
-
-    def formula_parts(self, tp, tn, p, n):
-        """Raw compiled formula output before any division: ("rational",
-        (N, D)) for N/D, ("sqrt", (N, D)) for sqrt(N/D), or ("ratio_sqrt",
-        (TN, TD, RN, RD)) for (TN/TD) / sqrt(RN/RD).
-
-        The formula uses only +, - and *, so the inputs may be any exact
-        algebra — ints, Fractions, or polynomial objects — which is how the
-        multiclass module reads a score off as a polynomial in the trace."""
-        return self._kind, self._fn(tp, tn, p, n)
 
     def affine_coefficients(self, p: int, n: int):
         """(a, b, c) with score = a*tp + b*tn + c on a testset of totals

@@ -17,6 +17,7 @@ from scoresleuth.errors import (
     FoldTotalsMismatch,
     MissingAggregationMode,
     NonlinearScoreUnsupported,
+    SpecError,
     TooManyConfigurations,
     UnsupportedExperiment,
 )
@@ -173,32 +174,44 @@ def test_micro_scan_matches_value_reference():
 
 # -------------------------------------------- micro scores as trace affines
 
-def expected_nonaffine(score_id, num_classes):
+def expected_nonaffine(score_id, num_classes, total=2):
+    """Whether micro_affine refuses a registry score. On a single-sample
+    fold the two traces lie on a line whenever both values are rational;
+    plr is undefined at one of them, and so is nlr when C = 2."""
+    if total == 1:
+        return score_id == "plr" or (score_id == "nlr" and num_classes == 2)
     if score_id in ("jac", "plr", "nlr"):
         return True
     return score_id == "gm" and num_classes > 2
 
 
 def test_micro_affine_forms_are_exact():
+    """micro_affine against brute force at every trace: a line must give
+    every value, and a refusal must come from an undefined or irrational
+    value or from values off one line."""
     registry = default_registry()
     for score_id in registry.ids():
         definition = registry.get(score_id)
         for total in range(1, 9):
             for c in (2, 3, 4):
+                case = (score_id, total, c)
+                values = [micro_value(definition, t, total, c)
+                          for t in range(total + 1)]
                 ab = micro_affine(definition, total, c)
+                assert (ab is None) == expected_nonaffine(score_id, c, total), case
                 if ab is None:
-                    assert expected_nonaffine(score_id, c), (score_id, total, c)
+                    assert (not all(isinstance(v, F) for v in values)
+                            or len({values[t + 1] - values[t]
+                                    for t in range(total)}) > 1), case
                     continue
-                assert not expected_nonaffine(score_id, c), (score_id, total, c)
                 a, b = ab
-                for t in range(total + 1):
-                    v = micro_value(definition, t, total, c)
-                    assert v == a * t + b, (score_id, total, c, t)
+                for t, v in enumerate(values):
+                    assert v == a * t + b, (case, t)
 
 
 def test_micro_nonaffine_values_really_are_nonaffine():
     # With at least three sample points, no affine function can thread the
-    # values the symbolic analysis refused.
+    # values that micro_affine refused.
     registry = default_registry()
     for score_id in ("jac", "plr", "nlr", "gm"):
         definition = registry.get(score_id)
@@ -382,7 +395,8 @@ def macro_sens_mean_feasible(folds, value):
 
 def test_micro_mos_agrees_with_trace_product_oracle():
     rng = random.Random(555)
-    ids = ["micro-acc", "micro-sens", "micro-f1"]
+    ids = ["micro-acc", "micro-sens", "micro-f1", "micro-mcc", "micro-fm",
+           "micro-kappa"]
     for _ in range(40):
         c = rng.randint(2, 3)
         folds = []
@@ -399,6 +413,35 @@ def test_micro_mos_agrees_with_trace_product_oracle():
                                        ScoreReport.of(**{rid: value}), U(2))
         feasible = micro_mean_feasible(folds, rid, value)
         assert res.inconsistency == (not feasible), (folds, rid, value)
+
+
+def test_single_sample_folds_decide_micro_jac_means():
+    """A single-sample fold has two traces, and their jac values 0 and 1
+    lie on a line, so a fold mean of micro-jac over such folds is decided
+    rather than refused, and agrees with the trace-product oracle. Unknown
+    folds with k equal to the testset size have only single-sample
+    layouts."""
+    rng = random.Random(2718)
+    verdicts = set()
+    for _ in range(40):
+        c = rng.randint(2, 4)
+        k = rng.randint(2, 5)
+        folds = []
+        for _ in range(k):
+            counts = [0] * c
+            counts[rng.randrange(c)] = 1
+            folds.append(MulticlassTestset(counts))
+        ts = MulticlassTestset([sum(x) for x in zip(*(f.class_counts
+                                                        for f in folds))])
+        value = rng.choice([f"{j / k:.2f}" for j in range(k + 1)]
+                           + [f"0.{rng.randint(0, 99):02d}"])
+        scores = ScoreReport.of(**{"micro-jac": value})
+        feasible = micro_mean_feasible(folds, "micro-jac", value)
+        for scheme in (FoldingScheme.known(folds), FoldingScheme.unknown(k)):
+            res = check_multiclass_dataset(ts, scheme, MOS, scores, U(2))
+            assert res.inconsistency == (not feasible), (folds, value)
+            verdicts.add(res.inconsistency)
+    assert verdicts == {True, False}
 
 
 def test_macro_mos_agrees_with_matrix_product_oracle():
@@ -418,7 +461,8 @@ def test_macro_mos_agrees_with_matrix_product_oracle():
 
 def test_unknown_folds_micro_mos_matches_the_or_of_trace_oracles():
     rng = random.Random(1729)
-    ids = ["micro-acc", "micro-sens", "micro-f1"]
+    ids = ["micro-acc", "micro-sens", "micro-f1", "micro-mcc", "micro-fm",
+           "micro-kappa"]
     start = time.perf_counter()
     verdicts = set()
     for _ in range(300):
@@ -538,6 +582,14 @@ def test_bare_score_ids_are_refused():
     ts = MulticlassTestset((2, 2))
     with pytest.raises(UnsupportedExperiment):
         check_multiclass_dataset(ts, None, None, ScoreReport.of(acc="0.5"), U(2))
+
+
+def test_binary_testset_is_refused_with_a_spec_error():
+    for rid in ("micro-acc", "macro-acc"):
+        for folding, mode in [(None, None), (FoldingScheme.unknown(2), MOS)]:
+            with pytest.raises(SpecError, match="got Testset"):
+                check_multiclass_dataset(Testset(5, 5), folding, mode,
+                                         ScoreReport.of(**{rid: "0.5"}), U(2))
 
 
 def test_mixed_families_are_refused():
