@@ -34,6 +34,7 @@ single-sample fold the two traces always lie on a line.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -108,6 +109,7 @@ def micro_value(definition: ScoreDefinition, trace: int, total: int,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def micro_affine(definition: ScoreDefinition, total: int, num_classes: int):
     """Exact affine form of the micro-averaged score in the trace: (a, b)
     with rational a and b and value == a*t + b at every integer trace t in
@@ -121,6 +123,8 @@ def micro_affine(definition: ScoreDefinition, total: int, num_classes: int):
     checked against every t >= 2 by compare(), which decides value(t) ==
     (A*t + B)/D exactly on the formula's integer output. Undefined or off
     the line at any trace means no line exists, so a None is a proof.
+    Results are memoized per (definition, total, num_classes) across
+    requests.
     """
     v0 = micro_value(definition, 0, total, num_classes)
     v1 = micro_value(definition, 1, total, num_classes)
@@ -353,7 +357,7 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
 
 
 def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
-                       entries, targets, cache: dict):
+                       entries, targets):
     """Domains and constraints for fold means of micro scores: one trace
     variable per fold. Raises NonlinearScoreUnsupported when some score is
     not an affine function of a fold's trace."""
@@ -364,10 +368,7 @@ def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
         coeffs = []
         constant = Fraction(0)
         for total in fold_totals:
-            key = (rid, total)
-            if key not in cache:
-                cache[key] = micro_affine(definition, total, num_classes)
-            ab = cache[key]
+            ab = micro_affine(definition, total, num_classes)
             if ab is None:
                 raise NonlinearScoreUnsupported(
                     f"score {rid!r} is not an affine function of a fold's "
@@ -433,7 +434,6 @@ def check_multiclass_dataset(testset: MulticlassTestset,
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
     num_classes = testset.num_classes
-    affine_cache: dict = {}
     # Micro constraints depend only on the multiset of fold sizes, so a
     # layout with the sizes of an earlier, infeasible one is not solved
     # again.
@@ -450,7 +450,7 @@ def check_multiclass_dataset(testset: MulticlassTestset,
         sizes = tuple(sorted(fold_totals))
         if sizes not in infeasible_sizes:
             assignment = solve(*_micro_mean_system(
-                fold_totals, num_classes, entries, targets, affine_cache))
+                fold_totals, num_classes, entries, targets))
             if assignment is not None:
                 return SolveOutcome([
                     {"total": total, "trace": trace,

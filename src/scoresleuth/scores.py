@@ -6,7 +6,7 @@ totals p and n. The registry ships as a data file (data/scores.json) so
 bundles and documentation stay in sync with the code; definitions are
 compiled at load time into integer numerator/denominator evaluators.
 
-Three facts about the supported scores carry the engine:
+Four facts about the supported scores carry the engine:
 
 * every score evaluates to an exact value, either a Fraction or an exact
   q*sqrt(r) (see values.py); a zero denominator yields Undefined (None),
@@ -14,7 +14,12 @@ Three facts about the supported scores carry the engine:
 * every score is monotone (not necessarily strictly) in tp and in tn
   separately, so inf/sup over a box are attained at opposite corners;
 * a score's denominators are sums of nonnegative counts, so undefinedness
-  only occurs at specific boundary counts (e.g. ppv at tp = 0, tn = n).
+  only occurs at specific boundary counts (e.g. ppv at tp = 0, tn = n);
+* a score is affine in the confusion counts exactly when its formula is a
+  rational combination of the ratio leaves tp/p, tn/n, (tp + tn)/(p + n)
+  and constants. affine_form() derives that form (alpha, beta, gamma,
+  delta) from the formula at construction, so linearity is never declared,
+  and means of scores read their coefficients off it.
 
 Every definition must declare its monotone direction in tp and in tn
 (1, -1 or 0); a definition without one is rejected at construction.
@@ -44,9 +49,9 @@ analysis then squares for the square-root kinds), and within() tests
 membership in a target with it; inversion corners, the pointwise
 verification of binary.py, the multiclass micro scan and its line check
 for fold means all use it at int counts. value() builds the Fraction or
-SqrtRational where a score is needed as a number: affine coefficients for
-fold means, evaluate(), the brute-force oracles and checkers that
-recompute a witness.
+SqrtRational where a score is needed as a number: the micro line's two
+ends, evaluate(), the brute-force oracles and checkers that recompute a
+witness.
 
 invert() may be given a box `near`, such as its own result for the
 previous column of a scan or the previous round of a prune, and then
@@ -66,7 +71,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import NonlinearScoreUnsupported, UnknownScoreId
 from .intervals import RationalInterval
@@ -196,21 +201,121 @@ def _compile(expr: AstNode):
     return kind, namespace["_formula"]
 
 
+class AffineForm(NamedTuple):
+    """score = alpha*tp/p + beta*tn/n + gamma*(tp + tn)/(p + n) + delta
+    wherever the formula is defined, which is wherever none of the totals
+    named in `divisors` ("p", "n", "p+n") is zero."""
+
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    delta: Fraction
+    divisors: frozenset
+
+
+#: Each count variable as a linear combination of tp, tn, p and n.
+_COUNT_TERMS = {"tp": {"tp": 1}, "tn": {"tn": 1}, "p": {"p": 1}, "n": {"n": 1},
+                "fp": {"n": 1, "tn": -1}, "fn": {"p": 1, "tp": -1}}
+#: The ratio leaves: divisor -> (the counts over it, the totals in it).
+_RATIO_LEAVES = {"p": (("tp",), ("p",)), "n": (("tn",), ("n",)),
+                 "p+n": (("tp", "tn"), ("p", "n"))}
+
+
+def _multiple(terms: dict, keys) -> Optional[Fraction]:
+    """c when the part of `terms` on `keys` is c * (sum of keys), else None."""
+    values = {terms.get(k, 0) for k in keys}
+    return values.pop() if len(values) == 1 else None
+
+
+def _affine_terms(node: AstNode):
+    """(terms, divisors) of a formula node, or None outside the affine basis.
+    terms maps the counts "tp", "tn", "p", "n", the ratio leaves (keyed by
+    their divisor "p", "n", "p+n" as "/p", "/n", "/p+n") and "1" to nonzero
+    Fractions; divisors are the divisors of every quotient by a total."""
+    if isinstance(node, str) and node in _COUNT_TERMS:
+        return {k: Fraction(v) for k, v in _COUNT_TERMS[node].items()}, frozenset()
+    if not isinstance(node, list):
+        c = Fraction(node)
+        return ({"1": c} if c else {}), frozenset()
+    if node[0] == "sqrt":
+        return None
+    args = [_affine_terms(arg) for arg in node[1:]]
+    if None in args:
+        return None
+    if node[0] == "neg":
+        return {k: -v for k, v in args[0][0].items()}, args[0][1]
+    (x, dx), (y, dy) = args
+    divisors = dx | dy
+    if node[0] in ("+", "-"):
+        sign = 1 if node[0] == "+" else -1
+        terms = {k: x.get(k, 0) + sign * y.get(k, 0) for k in x.keys() | y.keys()}
+        return {k: v for k, v in terms.items() if v}, divisors
+    if node[0] == "*":
+        if y.keys() <= {"1"}:
+            x, y = y, x
+        if not x.keys() <= {"1"}:
+            return None
+        c = x.get("1", 0)
+        return ({k: c * v for k, v in y.items()} if c else {}), divisors
+    if y.keys() <= {"1"}:  # a quotient by a constant
+        return ({k: v / y["1"] for k, v in x.items()}, divisors) if y else None
+    for divisor, (counts, totals) in _RATIO_LEAVES.items():
+        if y.keys() == set(totals) and x.keys() <= set(counts + totals):
+            c, a, b = (_multiple(y, totals), _multiple(x, counts),
+                       _multiple(x, totals))
+            if c is None or a is None or b is None:
+                return None
+            terms = {"/" + divisor: a / c, "1": b / c}
+            return {k: v for k, v in terms.items() if v}, divisors | {divisor}
+    return None
+
+
+def affine_form(formula: AstNode) -> Optional[AffineForm]:
+    """The score-space affine form of a formula, or None when the formula
+    is not a rational combination of the ratio leaves tp/p, tn/n and
+    (tp + tn)/(p + n) (fn/p, fp/n and (fp + fn)/(p + n) are 1 minus them)
+    and constants.
+
+    Lemma: _affine_terms(node) == (terms, divisors) means that, as rational
+    functions, node == sum of terms[k] * k over the basis tp, tn, p, n,
+    tp/p, tn/n, (tp + tn)/(p + n), 1, and that the compiled denominator of
+    node (_pair_src) is a nonzero constant times a product of positive
+    powers of exactly the totals in divisors. Proof sketch, by induction
+    on the tree: leaves are the basis with denominator 1 or a nonzero
+    constant; neg, +, - and * by a constant are linear and multiply the
+    denominators; a quotient by a nonzero constant c keeps the
+    denominator's zeros, and a quotient x/y with y == c * T for a total T
+    in p, n, p + n and x == a * (counts over T) + b * T is a * leaf + b
+    over c, while its compiled denominator is x's times y's numerator,
+    which is c * T times y's denominator. Any other node has no such
+    form and gives None. The basis is linearly independent, so a formula
+    is in it iff its form has no count terms, and then value() is None
+    exactly where some divisor total is zero, and otherwise equals the
+    form. A None only refuses the score for means, so it is never wrong.
+    """
+    derived = _affine_terms(formula)
+    if derived is None or derived[0].keys() - {"/p", "/n", "/p+n", "1"}:
+        return None
+    terms, divisors = derived
+    return AffineForm(*(terms.get(k, Fraction(0))
+                        for k in ("/p", "/n", "/p+n", "1")), divisors)
+
+
 # ---------------------------------------------------------------------------
 # score definitions
 # ---------------------------------------------------------------------------
 
 
 class ScoreDefinition:
-    """One score: identity, formula, theoretical range, linearity flag and
-    monotone directions, plus the compiled evaluators.
+    """One score: identity, formula, theoretical range and monotone
+    directions, plus the compiled evaluators and the affine form derived
+    from the formula (None when the score is not affine).
 
     mono_tp and mono_tn must each be 1 (nondecreasing), -1 (nonincreasing)
     or 0 (constant); anything else raises ValueError."""
 
     def __init__(self, score_id: str, name: str, formula: AstNode,
-                 range_: RationalInterval, linear: bool,
-                 mono_tp: int, mono_tn: int,
+                 range_: RationalInterval, mono_tp: int, mono_tn: int,
                  default_enabled: bool = True):
         for axis, direction in (("tp", mono_tp), ("tn", mono_tn)):
             if isinstance(direction, bool) or direction not in (-1, 0, 1):
@@ -221,15 +326,21 @@ class ScoreDefinition:
         self.name = name
         self.formula = formula
         self.range = range_
-        self.linear = linear
         self.mono_tp = mono_tp
         self.mono_tn = mono_tn
         self.default_enabled = default_enabled
         self._kind, self._fn = _compile(formula)
         self._range_ends = target_ends(range_)
+        self.form = affine_form(formula)
 
     def __repr__(self):
         return f"<ScoreDefinition {self.score_id}>"
+
+    @property
+    def linear(self) -> bool:
+        """Whether the score is affine in the confusion counts (see
+        affine_form); only those enter means of scores."""
+        return self.form is not None
 
     # -- exact evaluation --------------------------------------------------
 
@@ -334,15 +445,18 @@ class ScoreDefinition:
     def affine_coefficients(self, p: int, n: int):
         """(a, b, c) with score = a*tp + b*tn + c on a testset of totals
         (p, n); None when the score is not linear or is undefined for these
-        totals (a zero structural denominator, e.g. sens with p = 0)."""
-        if not self.linear:
+        totals (a zero structural denominator, e.g. sens with p = 0). Read
+        off the form: a = alpha/p + gamma/(p + n), b = beta/n + gamma/(p +
+        n) and c = delta; a nonzero coefficient implies its total is a
+        divisor, so no division by zero happens."""
+        form = self.form
+        totals = {"p": p, "n": n, "p+n": p + n}
+        if form is None or any(totals[d] == 0 for d in form.divisors):
             return None
-        c = self.value(0, 0, p, n)
-        va = self.value(1, 0, p, n)
-        vb = self.value(0, 1, p, n)
-        if c is None or va is None or vb is None:
-            return None
-        return va - c, vb - c, c
+        zero = Fraction(0)
+        acc = form.gamma / (p + n) if form.gamma else zero
+        return ((form.alpha / p if form.alpha else zero) + acc,
+                (form.beta / n if form.beta else zero) + acc, form.delta)
 
     # -- inversion -----------------------------------------------------------
 
@@ -460,6 +574,10 @@ class ScoreDefinition:
 
     @staticmethod
     def from_payload(entry: Mapping) -> "ScoreDefinition":
+        for field in ("id", "formula", "range"):
+            if field not in entry:
+                raise ValueError(
+                    f"score {entry.get('id')!r}: {field!r} is required")
         lo, hi = entry["range"]
         rng = RationalInterval(
             None if lo is None else Fraction(lo),
@@ -471,8 +589,7 @@ class ScoreDefinition:
                 f"score {entry['id']!r}: 'monotone' is required, got {mono!r}")
         return ScoreDefinition(
             entry["id"], entry.get("name", entry["id"]), entry["formula"],
-            rng, bool(entry["linear"]),
-            mono.get("tp"), mono.get("tn"),
+            rng, mono.get("tp"), mono.get("tn"),
             bool(entry.get("default", True)),
         )
 
@@ -609,7 +726,7 @@ def fbeta_definition(beta, score_id: Optional[str] = None) -> ScoreDefinition:
                ["+", ["*", const(w), "tp"], ["+", ["*", const(b2), "fn"], "fp"]]]
     return ScoreDefinition(
         score_id or f"f{beta}", f"F-beta score (beta = {beta})", formula,
-        RationalInterval.closed(0, 1), False, 1, 1, default_enabled=False)
+        RationalInterval.closed(0, 1), 1, 1, default_enabled=False)
 
 
 _default_registry: Optional[ScoreRegistry] = None

@@ -157,13 +157,35 @@ def jsonlines(out):
     return [json.loads(line) for line in out.splitlines() if line]
 
 
+AFFINE_IDS = {"acc", "err", "sens", "spec", "fpr", "fnr", "bacc", "youden"}
+
+
 def test_list_scores(capsys):
+    """One line per default score, in registry order: the data file's entry
+    with the derived `linear` flag after `range`, true for exactly the
+    eight affine scores."""
     code, out = run(capsys, "list", "--scores")
     assert code == 0
     entries = jsonlines(out)
     assert len(entries) == 20
     ids = {entry["id"] for entry in entries}
     assert {"acc", "sens", "spec", "f1", "mcc"} <= ids
+    data = json.loads(resources.files("scoresleuth").joinpath(
+        "data/scores.json").read_text("utf-8"))
+    expected = []
+    for entry in data["scores"]:
+        if not entry["default"]:
+            continue
+        line = {key: entry[key] for key in ("id", "name", "formula", "range")}
+        line["linear"] = entry["id"] in AFFINE_IDS
+        line.update(monotone=entry["monotone"], default=True)
+        expected.append(json.dumps(line) + "\n")
+    assert out == "".join(expected)
+    assert [e["id"] for e in entries] == [
+        "acc", "err", "sens", "spec", "ppv", "npv", "fpr", "fnr", "fdr",
+        "for", "f1", "fbeta", "fm", "gm", "bacc", "youden", "mk", "mcc",
+        "kappa", "jac"]
+    assert {e["id"] for e in entries if e["linear"]} == AFFINE_IDS
 
 
 def test_list_bundles(capsys):

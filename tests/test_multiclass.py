@@ -44,7 +44,7 @@ from scoresleuth.multiclass import (
     split_average_prefix,
 )
 from scoresleuth.oracle import brute_force_macro
-from scoresleuth.scores import default_registry
+from scoresleuth.scores import ScoreDefinition, default_registry
 from scoresleuth.values import SqrtRational
 
 F = Fraction
@@ -533,6 +533,29 @@ def test_unknown_folds_micro_mos_smoke():
     assert not res.inconsistency
     assert "configuration" in res.witness
     assert res.evidence["configurations_tried"] >= 1
+
+
+def test_micro_lines_are_memoized_across_requests(monkeypatch):
+    """micro_affine is memoized per (definition, fold size, classes), so
+    a second identical micro fold-mean request checks no trace again."""
+    calls = []
+    compare = ScoreDefinition.compare
+
+    def counted(self, *args):
+        calls.append(args)
+        return compare(self, *args)
+
+    monkeypatch.setattr(ScoreDefinition, "compare", counted)
+    micro_affine.cache_clear()
+    ts = MulticlassTestset((5, 6, 4))
+    report = ScoreReport.of(**{"micro-acc": "0.47", "micro-f1": "0.47"})
+    first = check_multiclass_dataset(ts, FoldingScheme.stratified(3), MOS,
+                                     report, U(2))
+    assert calls
+    calls.clear()
+    second = check_multiclass_dataset(ts, FoldingScheme.stratified(3), MOS,
+                                      report, U(2))
+    assert calls == [] and second == first
 
 
 def test_unknown_folds_cap():

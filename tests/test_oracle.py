@@ -3,6 +3,8 @@ trust anchors for everything else, so they get their own direct tests:
 tiny hand-checkable instances, the resource caps, and exact decimal
 rendering down to its tie-breaking."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from scoresleuth.model import (
     Uncertainty,
     infer_uncertainty,
 )
+from scoresleuth.multiclass import split_average_prefix
 from scoresleuth.oracle import (
     ORACLE_CAP,
     brute_force_macro,
@@ -200,3 +203,38 @@ def test_generator_truncate_mode_also_verifies():
                                          mode="truncate")
         res = check_experiment(spec, report, infer_uncertainty(report))
         assert not res.inconsistency, (seed, report)
+
+
+# The benchmark's request lists are drawn through generate_true_report,
+# whose score pools depend on which registry scores are affine. This pins
+# its outputs for fixed specs and seeds, so a registry change that would
+# silently alter those lists fails here.
+PINNED_SPECS = {
+    "single": ExperimentSpec.single(Testset(12, 30)),
+    "known_folds": ExperimentSpec.single(
+        Testset(7, 9), FoldingScheme.known([Testset(3, 5), Testset(4, 4)]),
+        MOS),
+    "unknown_folds": ExperimentSpec.single(Testset(9, 11),
+                                           FoldingScheme.unknown(3), MOS),
+    "dataset_means": ExperimentSpec(
+        (DatasetSpec(Testset(5, 8)), DatasetSpec(Testset(6, 4))),
+        dataset_aggregation=MOS),
+    "multiclass": ExperimentSpec.single(MulticlassTestset((4, 6, 5))),
+    "multiclass_folds": ExperimentSpec.single(
+        MulticlassTestset((4, 6, 5)), FoldingScheme.stratified(2), MOS),
+}
+PINNED_DIGEST = "671d118c781dbc3bd9e618f4e643e4fafa9bc918b31f68cd1d1057d7e0b1e065"
+
+
+def test_generated_reports_are_pinned():
+    records, families = [], set()
+    for name, spec in PINNED_SPECS.items():
+        for seed in range(6):
+            outcome, report = generate_true_report(spec, rng_seed=seed,
+                                                   k_decimals=3)
+            texts = {rid: report.text(rid) for rid in report.ids}
+            families |= {split_average_prefix(rid)[0] for rid in texts}
+            records.append([name, seed, outcome, texts])
+    assert families == {"", "micro", "macro"}
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST

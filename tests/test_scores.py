@@ -2,10 +2,13 @@
 monotone directions, the F-beta factory, and the integer sign test
 (compare, within) and inversion against value()-based references."""
 
+import inspect
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -16,6 +19,7 @@ from scoresleuth.scores import (
     ScoreDefinition,
     _first_true,
     _last_true,
+    affine_form,
     default_registry,
     evaluate,
     fbeta_definition,
@@ -201,9 +205,10 @@ def test_monotone_directions_exhaustive(registry):
 def test_monotone_metadata_is_required(registry):
     entry = registry.get("acc").to_payload()
     assert ScoreDefinition.from_payload(entry).mono_tp == 1
-    missing = {k: v for k, v in entry.items() if k != "monotone"}
-    with pytest.raises(ValueError):
-        ScoreDefinition.from_payload(missing)
+    for field in ("monotone", "id", "formula", "range"):
+        missing = {k: v for k, v in entry.items() if k != field}
+        with pytest.raises(ValueError, match=repr(field)):
+            ScoreDefinition.from_payload(missing)
     for bad in ({"tp": 2, "tn": 1}, {"tp": 1}, {"tp": 1, "tn": True}):
         with pytest.raises(ValueError):
             ScoreDefinition.from_payload(dict(entry, monotone=bad))
@@ -285,17 +290,19 @@ def test_compare_matches_value_exhaustively_on_small_testsets(registry):
                             definition, tp, tn, p, n, c)
 
 
+NEG_SENS = ["/", ["neg", "tp"], ["neg", "p"]]
+NEG_FORMULAS = [NEG_SENS, ["sqrt", NEG_SENS], ["sqrt", ["-", "tp", "fn"]],
+                ["/", ["-", "tp", "fn"], ["sqrt", NEG_SENS]]]
+
+
 def test_compare_with_negative_compiled_denominators():
     """Formulas written with negated terms compile to negative denominators
     (and a negative radicand numerator), and a radicand that goes negative
     is undefined; compare() still matches value()."""
-    neg_sens = ["/", ["neg", "tp"], ["neg", "p"]]
-    formulas = [neg_sens, ["sqrt", neg_sens], ["sqrt", ["-", "tp", "fn"]],
-                ["/", ["-", "tp", "fn"], ["sqrt", neg_sens]]]
     rng = random.Random(4)
-    for formula in formulas:
+    for formula in NEG_FORMULAS:
         definition = ScoreDefinition("neg", "negated", formula,
-                                     RationalInterval.unbounded(), False, 1, 0)
+                                     RationalInterval.unbounded(), 1, 0)
         for p, n in itertools.product(range(5), range(2)):
             for tp in range(p + 1):
                 value = definition.value(tp, 0, p, n)
@@ -547,3 +554,82 @@ def test_invert_near_matches_invert(registry):
         for near in (_random_near(rng, size), _random_near(rng, size), plain):
             assert definition.invert(ends, other_box, p, n, axis, near) == \
                 plain, (definition, target, other_box, p, n, axis, near)
+
+
+# ---------------------------------------------------------------------------
+# the affine form derived from the formula
+# ---------------------------------------------------------------------------
+
+
+AFFINE_FORMS = {"acc": (0, 0, 1, 0), "err": (0, 0, -1, 1),
+                "sens": (1, 0, 0, 0), "fnr": (-1, 0, 0, 1),
+                "spec": (0, 1, 0, 0), "fpr": (0, -1, 0, 1),
+                "bacc": (F(1, 2), F(1, 2), 0, 0), "youden": (1, 1, 0, -1)}
+
+
+def test_affine_forms_are_derived_from_the_formulas(registry):
+    assert {d.score_id: d.form and tuple(d.form[:4])
+            for d in registry.definitions()} == {
+        sid: AFFINE_FORMS.get(sid) for sid in registry.ids()}
+    assert {sid for sid in registry.ids() if registry.get(sid).linear} == set(
+        AFFINE_FORMS)
+    for beta in (F(1, 2), 1, 2, 3):
+        assert fbeta_definition(beta).form is None
+    data = json.loads(resources.files("scoresleuth").joinpath(
+        "data/scores.json").read_text("utf-8"))
+    assert not any("linear" in entry for entry in data["scores"])
+    assert "linear" not in inspect.signature(ScoreDefinition).parameters
+
+
+def test_quotients_outside_the_ratio_leaves_are_not_affine():
+    for formula in (["/", "tp", ["+", "p", "n"]], ["/", ["+", "tp", 1], "p"],
+                    ["/", "tp", ["+", "p", ["*", 2, "n"]]], ["/", "tp", 0],
+                    ["*", "tp", ["/", "tn", "n"]], ["/", "tn", "p"],
+                    ["sqrt", ["/", "tp", "p"]]):
+        assert affine_form(formula) is None, formula
+    assert affine_form(["/", ["*", 3, "fn"], ["*", "1/2", "p"]]) == (
+        -6, 0, 0, 6, {"p"})
+    assert affine_form(["/", "p", "p"]) == (0, 0, 0, 1, {"p"})
+
+
+def _value_probe(definition, p, n):
+    """The coefficients as three value() calls give them: (a, b, c) with c
+    the value at (0, 0) and a, b the steps to (1, 0) and (0, 1); None
+    when the score is not affine or one of the values is undefined."""
+    if not definition.linear:
+        return None
+    c, va, vb = (definition.value(tp, tn, p, n)
+                 for tp, tn in ((0, 0), (1, 0), (0, 1)))
+    if c is None or va is None or vb is None:
+        return None
+    return va - c, vb - c, c
+
+
+# tp/p + fp/n - fp/n: the ratio leaves over n cancel, yet the formula is
+# undefined wherever n = 0
+CANCELLING = ["+", ["/", "tp", "p"], ["-", ["/", "fp", "n"], ["/", "fp", "n"]]]
+
+
+def test_affine_coefficients_equal_the_value_probe(registry):
+    """Exhaustively for p, n <= 8: the coefficients read off the form are
+    the three-value() triple, None included, and they reproduce value() at
+    every count, or value() is undefined at every count."""
+    definitions = _all_definitions(registry) + [
+        ScoreDefinition(f"f{i}", "custom", formula,
+                        RationalInterval.unbounded(), 1, 0)
+        for i, formula in enumerate(NEG_FORMULAS + [CANCELLING])]
+    assert [d.linear for d in definitions[-5:]] == [
+        True, False, False, False, True]
+    for definition in definitions:
+        for p, n in itertools.product(range(9), repeat=2):
+            abc = definition.affine_coefficients(p, n)
+            assert abc == _value_probe(definition, p, n), (definition, p, n)
+            if not definition.linear:
+                continue
+            for tp, tn in itertools.product(range(p + 1), range(n + 1)):
+                value = definition.value(tp, tn, p, n)
+                if abc is None:
+                    assert value is None, (definition, tp, tn, p, n)
+                else:
+                    assert value == abc[0] * tp + abc[1] * tn + abc[2], (
+                        definition, tp, tn, p, n)
