@@ -5,15 +5,28 @@ reproduce every reported score within its uncertainty radius? The decision
 is exact in both directions — an inconsistency verdict means no such
 outcome exists, full stop.
 
-The search is plain enumeration, expedited by pruning: each reported
-score's target interval is inverted onto the tp and tn axes
-(scores.ScoreDefinition.invert) and the integer boxes are shrunk to a
-fixpoint before any pair is visited; when either box empties, both are
-reported empty. The scan then gives each tp its own tn box by the same
-inversions. Pruning only discards pairs that provably fail some score, and
-every surviving pair is verified pointwise with exact integer sign tests
-(scores.ScoreDefinition.within), so the shortcuts cannot change the
-verdict.
+The search is plain enumeration, expedited by pruning. One narrowing
+rule does all of it: a *sweep* onto one axis cuts that axis's int box by
+every reported score's target interval inverted over the other axis's box
+(scores.ScoreDefinition.invert). The prune repeats a tp sweep and then a
+tn sweep until neither box moves; when either box empties, both are
+reported empty. The scan then gives each tp its own tn box by a tn sweep
+over the point box [tp, tp]. Pruning only discards pairs that provably
+fail some score, and every surviving pair is verified pointwise with exact
+integer sign tests (scores.ScoreDefinition.within), so the shortcuts
+cannot change the verdict.
+
+Termination: a sweep only intersects, so the boxes never grow, and a pass
+that does not stop the prune shrinks at least one of them. The two boxes
+hold p + n + 2 counts between them, so at most p + n + 2 passes run, the
+same order as the scan's column count. The boxes where the prune stops
+are a fixpoint of the two sweeps, but not the unique greatest one: a
+corner where a score is undefined widens to the score's range, so
+narrowing one box can readmit a count on the other axis (mcc at tp = 0
+once tn is pinned to n), and a different sweep order may stop at
+different boxes. Soundness does not depend on the order: every count a
+sweep drops fails some score for every count left on the other axis, and
+the scan verifies every pair it visits.
 
 Boxes are int pairs (lo, hi), or None when empty, and each target's ends
 become (numerator, denominator) pairs once per report
@@ -30,11 +43,11 @@ Neither inversion nor verification builds a Fraction or a SqrtRational
 per pair or per column: testsets with p up to about 10^4 and n up to
 about 10^5 are decided in under a second.
 
-Each inversion is seeded with the box the same score gave before: in the
-prune, its box from the previous round, and in the scan, its last
-nonempty box from an earlier column. The score is monotone in both
-counts, so a column's bounds move monotonically with tp, and the boxes of
-successive rounds only shrink; either way the new ends lie near the old
+Each inversion is seeded with the last nonempty box the same score gave
+on the same axis: in the prune, from the previous pass, and in the scan,
+from an earlier column. The score is monotone in both counts, so a
+column's bounds move monotonically with tp, and the boxes of successive
+passes only shrink; either way the new ends lie near the old
 ones, and invert gallops to them from there (saddleback search; Bird, MPC
 2006) instead of bisecting the whole axis. The seed changes no inversion:
 the corner tests are monotone on the interior, and a gallop from any
@@ -60,13 +73,6 @@ PROCEDURES = {
     "single_testset": "decision over all (tp, tn) pairs of one testset, "
                       "with exact interval pruning",
 }
-
-#: Cap on pruning rounds. Each round either strictly shrinks a box or ends
-#: the loop, but scores with parallel level sets can take hundreds of
-#: rounds to reach the fixpoint (acc 0.012 with err 0.986 on p = 349,
-#: n = 14552 takes 97). Stopping early leaves sound, wider boxes, and the
-#: scan verifies every pair it visits, so the verdict stays exact.
-_MAX_PRUNE_ROUNDS = 100
 
 #: Default cap on candidate pairs enumerated by feasible_region.
 REGION_CAP = 10 ** 7
@@ -115,31 +121,37 @@ def _cut(box, by):
     return (lo, hi) if lo <= hi else None
 
 
+def _sweep(scored, other, box, p, n, axis, near):
+    """`box` on `axis` ('tp' or 'tn') cut by every score's inversion over
+    the `other` box, in `scored` order; None as soon as it empties. Score
+    i's inversion is seeded from near[i], the last nonempty box it gave on
+    this axis, and updates it."""
+    for i, (d, target) in enumerate(scored):
+        cut = d.invert(target, other, p, n, axis, near[i])
+        if cut is not None:
+            near[i] = cut
+        box = _cut(box, cut)
+        if box is None:
+            return None
+    return box
+
+
 def _prune_boxes(scored, tp_box, tn_box, p, n):
-    """Shrink the int boxes (lo, hi) of tp and tn to a fixpoint of all
-    score inversions, in `scored` order, for at most _MAX_PRUNE_ROUNDS
-    rounds. Conservative: never discards a satisfying pair. When either box
-    empties no pair survives, so both come back None whichever axis emptied
-    first."""
-    near = [[None, None] for _ in scored]
-    for _ in range(_MAX_PRUNE_ROUNDS):
-        changed = False
-        for (d, target), last in zip(scored, near):
-            last[0] = d.invert(target, tn_box, p, n, "tp", last[0])
-            new_tp = _cut(tp_box, last[0])
-            if new_tp is None:
-                return None, None
-            if new_tp != tp_box:
-                tp_box, changed = new_tp, True
-            last[1] = d.invert(target, tp_box, p, n, "tn", last[1])
-            new_tn = _cut(tn_box, last[1])
-            if new_tn is None:
-                return None, None
-            if new_tn != tn_box:
-                tn_box, changed = new_tn, True
-        if not changed:
-            break
-    return tp_box, tn_box
+    """Repeat a tp sweep and then a tn sweep until neither box moves (at
+    most p + n + 2 passes, see the module docstring). Conservative: never
+    discards a satisfying pair. When either box empties no pair survives,
+    so both come back None whichever axis emptied first."""
+    near_tp, near_tn = [None] * len(scored), [None] * len(scored)
+    while True:
+        new_tp = _sweep(scored, tn_box, tp_box, p, n, "tp", near_tp)
+        if new_tp is None:
+            return None, None
+        new_tn = _sweep(scored, new_tp, tn_box, p, n, "tn", near_tn)
+        if new_tn is None:
+            return None, None
+        if (new_tp, new_tn) == (tp_box, tn_box):
+            return tp_box, tn_box
+        tp_box, tn_box = new_tp, new_tn
 
 
 def _verify_pair(scored, tp, tn, p, n) -> bool:
@@ -150,21 +162,6 @@ def _verify_pair(scored, tp, tn, p, n) -> bool:
 
 def _int_values(box):
     return range(0) if box is None else range(box[0], box[1] + 1)
-
-
-def _column_box(scored, tp, tn_box, p, n, near):
-    """The tn box of column tp: tn_box cut by every score's inversion at
-    the point (tp, tp). Score i's inversion is seeded from near[i], the
-    last nonempty box it gave in an earlier column, and updates it."""
-    col, point = tn_box, (tp, tp)
-    for i, (d, target) in enumerate(scored):
-        box = d.invert(target, point, p, n, "tn", near[i])
-        if box is not None:
-            near[i] = box
-        col = _cut(col, box)
-        if col is None:
-            break
-    return col
 
 
 def _box_payload(box):
@@ -200,7 +197,7 @@ def _scan(scored, tp_box, tn_box, p, n):
     Pruning empties both boxes or neither."""
     near = [None] * len(scored)
     for tp in _int_values(tp_box):
-        col = _column_box(scored, tp, tn_box, p, n, near)
+        col = _sweep(scored, (tp, tp), tn_box, p, n, "tn", near)
         for tn in _int_values(col):
             if _verify_pair(scored, tp, tn, p, n):
                 yield tp, tn

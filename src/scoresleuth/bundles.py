@@ -10,6 +10,7 @@ placeholders whose counts have not been transcribed yet.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -38,20 +39,14 @@ class Bundle:
     notes: str
 
 
-_index_cache: Optional[dict] = None
-_bundle_cache: dict = {}
-
-
 def _data(name: str) -> str:
     return resources.files("scoresleuth").joinpath(
         f"data/bundles/{name}").read_text("utf-8")
 
 
+@functools.cache
 def _index() -> dict:
-    global _index_cache
-    if _index_cache is None:
-        _index_cache = json.loads(_data("index.json"))
-    return _index_cache
+    return json.loads(_data("index.json"))
 
 
 def list_bundles() -> list[str]:
@@ -60,14 +55,13 @@ def list_bundles() -> list[str]:
                   if e["status"] == "populated")
 
 
+@functools.cache
 def load_bundle(bundle_id: str) -> Bundle:
-    """Load a bundle by id; its spec is validated on load.
+    """Load a bundle by id (cached); its spec is validated on load.
 
     Raises UnknownBundle (listing the populated ids) for ids that do not
     exist or whose counts are documented placeholders only.
     """
-    if bundle_id in _bundle_cache:
-        return _bundle_cache[bundle_id]
     entries = {e["id"]: e for e in _index()["bundles"]}
     entry = entries.get(bundle_id)
     if entry is None or entry["status"] != "populated":
@@ -88,7 +82,6 @@ def load_bundle(bundle_id: str) -> Bundle:
         notes=payload["notes"],
     )
     validate_experiment(bundle.spec)
-    _bundle_cache[bundle_id] = bundle
     return bundle
 
 

@@ -9,7 +9,8 @@ Exit codes are part of the interface:
 
   0  verdict: consistent
   1  verdict: inconsistency identified (a certain finding)
-  2  usage error or malformed/unsupported input
+  2  usage error, malformed/unsupported input, or a file that cannot be
+     read or written
   3  resource refusal (an enumeration cap was exceeded) — deliberately
      distinct from the verdicts so a pipeline never mistakes
      "couldn't decide" for "consistent"
@@ -123,8 +124,11 @@ def _emit(result, args) -> int:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScoreSleuthError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_INCONSISTENT if result.inconsistency else EXIT_CONSISTENT

@@ -4,7 +4,9 @@ Everything raised on purpose by this package derives from ScoreSleuthError.
 Two broad families matter to callers: specification problems (bad experiment
 descriptions, unknown ids, unsupported requests) and resource refusals
 (enumerations that would exceed a configured cap). The CLI maps the former to
-exit code 2 and the latter to exit code 3.
+exit code 2 and the latter to exit code 3. A refusal is built from the count
+reached and the cap it exceeds by the one ResourceLimit constructor, and
+each kind of refusal differs only in its docstring and message.
 
 Note that an *inconsistent report* is never an exception: it is a regular
 verdict carried by ConsistencyResult.
@@ -69,36 +71,36 @@ class MissingVariance(SpecError):
 
 class ResourceLimit(ScoreSleuthError):
     """An enumeration or search would exceed a configured cap. The request
-    is refused rather than silently truncated."""
+    is refused rather than silently truncated.
+
+    Every refusal carries the `count` that was reached and the `cap` it
+    exceeds; each subclass only names its `message`, a format string over
+    both."""
+
+    message = "{count} exceeds cap {cap}"
+
+    def __init__(self, count: int, cap: int):
+        self.count = count
+        self.cap = cap
+        super().__init__(self.message.format(count=count, cap=cap))
 
 
 class TooManyConfigurations(ResourceLimit):
     """Unknown-fold enumeration exceeds the configuration cap."""
 
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(
-            f"fold configuration enumeration exceeds cap ({count}+ > {cap}); "
-            f"raise the cap (SCORESLEUTH_CONFIG_CAP or the cap argument) to proceed"
-        )
+    message = ("fold configuration enumeration exceeds cap ({count}+ > {cap}); "
+               "raise the cap (SCORESLEUTH_CONFIG_CAP or the cap argument) "
+               "to proceed")
 
 
 class RegionTooLarge(ResourceLimit):
     """feasible_region would enumerate more candidate pairs than the cap."""
 
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(
-            f"feasible region enumeration of {count} candidate pairs exceeds cap {cap}"
-        )
+    message = ("feasible region enumeration of {count} candidate pairs "
+               "exceeds cap {cap}")
 
 
 class InstanceTooLarge(ResourceLimit):
     """A brute-force oracle was asked to enumerate more states than its cap."""
 
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(f"brute-force enumeration of {count} states exceeds cap {cap}")
+    message = "brute-force enumeration of {count} states exceeds cap {cap}"

@@ -24,7 +24,8 @@ import os
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidFoldCount, SpecError, TooManyConfigurations
-from .model import ConsistencyResult, FoldingScheme, Testset, class_totals
+from .model import (ConsistencyResult, FoldingScheme, Testset, class_totals,
+                    stratified_split_counts)
 
 DEFAULT_CONFIG_CAP = 10 ** 6
 
@@ -43,27 +44,6 @@ def config_cap(cap: Optional[int] = None) -> int:
         except ValueError:
             raise SpecError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
     return DEFAULT_CONFIG_CAP
-
-
-def stratified_split_counts(totals: Sequence[int], k: int) -> list[tuple[int, ...]]:
-    """Deterministic even split of each class across k folds.
-
-    For a class with c samples, the first (c mod k) folds receive
-    ceil(c/k) and the rest floor(c/k); folds are paired by index across
-    classes. Raises InvalidFoldCount when the rule leaves a fold empty.
-    """
-    if k < 1:
-        raise InvalidFoldCount(f"k must be at least 1, got {k}")
-    per_class = []
-    for c in totals:
-        q, r = divmod(c, k)
-        per_class.append([q + 1] * r + [q] * (k - r))
-    folds = [tuple(col[j] for col in per_class) for j in range(k)]
-    if any(sum(f) == 0 for f in folds):
-        raise InvalidFoldCount(
-            f"stratified split of totals {tuple(totals)} into k={k} folds "
-            f"leaves a fold empty")
-    return folds
 
 
 def _vectors_desc(totals: tuple[int, ...], cap_vec: tuple[int, ...]
@@ -90,32 +70,48 @@ def iter_fold_configurations(totals: Sequence[int], k: int
                              ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All multisets of k nonempty per-class count vectors summing to
     `totals`, each configuration given as a lexicographically nonincreasing
-    tuple; configurations are yielded in decreasing lexicographic order."""
+    tuple; configurations are yielded in decreasing lexicographic order.
+
+    A depth-first loop over an explicit stack, one frame per placed fold,
+    so k is not bounded by the recursion limit. A frame's candidates are
+    the folds lex <= the one before that leave enough samples for the
+    folds still to place. The last fold is whatever the others leave: it
+    is yielded when it is nonempty and lex <= the fold before it."""
     totals = tuple(totals)
     if k < 1:
         raise InvalidFoldCount(f"k must be at least 1, got {k}")
     if sum(totals) < k:
         raise InvalidFoldCount(
             f"cannot split totals {totals} into {k} nonempty folds")
+    if k == 1:
+        yield (totals,)
+        return
 
-    def rec(remaining: tuple[int, ...], slots: int, cap_vec: tuple[int, ...]
-            ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if slots == 0:
-            if all(t == 0 for t in remaining):
-                yield ()
-            return
-        total_left = sum(remaining)
-        if total_left < slots:  # each remaining fold needs >= 1 sample
-            return
-        for v in _vectors_desc(remaining, cap_vec):
-            # later folds are lex <= v, so their first components are <= v[0]
-            if remaining[0] - v[0] > (slots - 1) * v[0]:
-                continue
-            rest = tuple(r - x for r, x in zip(remaining, v))
-            for tail in rec(rest, slots - 1, v):
-                yield (v,) + tail
+    def candidates(remaining, slots, cap_vec):
+        if sum(remaining) < slots:  # each remaining fold needs >= 1 sample
+            return iter(())
+        # later folds are lex <= v, so their first components are <= v[0]
+        return (v for v in _vectors_desc(remaining, cap_vec)
+                if remaining[0] - v[0] <= (slots - 1) * v[0])
 
-    return rec(totals, k, totals)
+    placed = []  # the fold chosen in each frame below the top one
+    stack = [(totals, candidates(totals, k, totals))]
+    while stack:
+        remaining, options = stack[-1]
+        v = next(options, None)
+        if v is None:
+            stack.pop()
+            if placed:
+                placed.pop()
+            continue
+        rest = tuple(r - x for r, x in zip(remaining, v))
+        slots = k - len(stack)  # folds still to place after v
+        if slots == 1:
+            if any(rest) and rest <= v:
+                yield (*placed, v, rest)
+        else:
+            placed.append(v)
+            stack.append((rest, candidates(rest, slots, v)))
 
 
 Layout = tuple[tuple[int, ...], ...]

@@ -2,11 +2,17 @@
 and verdicts.
 
 Everything in this module is immutable after construction and safe to share
-across threads. Reported score values are parsed from decimal text into
-exact rationals; no binary floating point enters any decision procedure.
-Floats are accepted for convenience and interpreted through their shortest
-round-tripping decimal representation (`repr`), because a reported score is
-a decimal artifact, not a binary one.
+across threads. The value types are frozen dataclasses that validate in
+__post_init__; ScoreReport alone is a hand-written class, because it keeps
+each value's decimal text beside it and compares on the values only. The
+stratified even-split rule (stratified_split_counts) lives here too, so
+validation and the fold layouts apply one rule.
+
+Reported score values are parsed from decimal text into exact rationals; no
+binary floating point enters any decision procedure. Floats are accepted
+for convenience and interpreted through their shortest round-tripping
+decimal representation (`repr`), because a reported score is a decimal
+artifact, not a binary one.
 """
 
 from __future__ import annotations
@@ -110,13 +116,15 @@ class Testset:
         return self.p + self.n
 
 
+@dataclass(frozen=True, slots=True)
 class MulticlassTestset:
-    """A multiclass testset: ordered per-class sample counts c_1..c_C."""
+    """A multiclass testset: ordered per-class sample counts c_1..c_C,
+    given as any sequence and stored as a tuple."""
 
-    __slots__ = ("class_counts",)
+    class_counts: tuple[int, ...]
 
-    def __init__(self, class_counts: Sequence[int]):
-        counts = tuple(class_counts)
+    def __post_init__(self):
+        counts = tuple(self.class_counts)
         if len(counts) < 2:
             raise SpecError("a multiclass testset needs at least two classes")
         for i, c in enumerate(counts):
@@ -125,9 +133,6 @@ class MulticlassTestset:
             raise EmptyExperiment("a testset must contain at least one sample")
         object.__setattr__(self, "class_counts", counts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MulticlassTestset is immutable")
-
     @property
     def num_classes(self) -> int:
         return len(self.class_counts)
@@ -135,16 +140,6 @@ class MulticlassTestset:
     @property
     def size(self) -> int:
         return sum(self.class_counts)
-
-    def __eq__(self, other):
-        return (isinstance(other, MulticlassTestset)
-                and self.class_counts == other.class_counts)
-
-    def __hash__(self):
-        return hash(("MulticlassTestset", self.class_counts))
-
-    def __repr__(self):
-        return f"MulticlassTestset(class_counts={list(self.class_counts)})"
 
 
 AnyTestset = Union[Testset, MulticlassTestset]
@@ -245,7 +240,13 @@ class ExperimentSpec:
         for label in ("fold_aggregation", "dataset_aggregation"):
             v = getattr(self, label)
             if v is not None and not isinstance(v, AggregationMode):
-                object.__setattr__(self, label, AggregationMode(v))
+                try:
+                    object.__setattr__(self, label, AggregationMode(v))
+                except ValueError:
+                    raise ParseError(
+                        f"{label} must be one of "
+                        f"{[m.value for m in AggregationMode]}, "
+                        f"got {v!r}") from None
 
     @staticmethod
     def single(testset: AnyTestset,
@@ -261,10 +262,25 @@ def class_totals(ts: AnyTestset) -> tuple[int, ...]:
     return (ts.p, ts.n)
 
 
-def _stratified_has_empty_fold(ts: AnyTestset, k: int) -> bool:
-    # Under the even-split rule, the last fold receives floor(c/k) from each
-    # class, so it is empty exactly when every class has fewer than k samples.
-    return all(c < k for c in class_totals(ts))
+def stratified_split_counts(totals: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """Deterministic even split of each class across k folds.
+
+    For a class with c samples, the first (c mod k) folds receive
+    ceil(c/k) and the rest floor(c/k); folds are paired by index across
+    classes. Raises InvalidFoldCount when the rule leaves a fold empty.
+    """
+    if k < 1:
+        raise InvalidFoldCount(f"k must be at least 1, got {k}")
+    per_class = []
+    for c in totals:
+        q, r = divmod(c, k)
+        per_class.append([q + 1] * r + [q] * (k - r))
+    folds = [tuple(col[j] for col in per_class) for j in range(k)]
+    if any(sum(f) == 0 for f in folds):
+        raise InvalidFoldCount(
+            f"stratified split of totals {tuple(totals)} into k={k} folds "
+            f"leaves a fold empty")
+    return folds
 
 
 def check_fold_totals(testset: AnyTestset, folds: Sequence[AnyTestset],
@@ -314,11 +330,11 @@ def validate_experiment(spec: ExperimentSpec) -> ExperimentSpec:
                 raise InvalidFoldCount(
                     f"dataset {idx}: cannot split {ds.testset.size} samples "
                     f"into {k} nonempty folds")
-            if scheme.kind == "stratified_kfold" and _stratified_has_empty_fold(
-                    ds.testset, k):
-                raise InvalidFoldCount(
-                    f"dataset {idx}: the stratified even split for k={k} "
-                    f"leaves the last fold empty")
+            if scheme.kind == "stratified_kfold":
+                try:
+                    stratified_split_counts(class_totals(ds.testset), k)
+                except InvalidFoldCount as exc:
+                    raise InvalidFoldCount(f"dataset {idx}: {exc}") from None
 
     if any_folding and spec.fold_aggregation is None:
         raise MissingAggregationMode(
@@ -340,19 +356,23 @@ def validate_experiment(spec: ExperimentSpec) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class Uncertainty:
     """Numeric uncertainty of the reported values.
 
     default_radius is the half-width of the interval around each reported
     value (typically 10^-k for k printed decimals); per_score_radius
-    overrides it per score id.
+    overrides it per score id. Both are parsed with as_fraction and stored
+    as Fractions, the overrides in a dict of their own.
     """
 
-    __slots__ = ("default_radius", "per_score_radius")
+    default_radius: Fraction
+    per_score_radius: Optional[Mapping[str, Fraction]] = None
 
-    def __init__(self, default_radius, per_score_radius: Optional[Mapping] = None):
-        radius = as_fraction(default_radius)
-        per_score = {k: as_fraction(v) for k, v in (per_score_radius or {}).items()}
+    def __post_init__(self):
+        radius = as_fraction(self.default_radius)
+        per_score = {k: as_fraction(v)
+                     for k, v in (self.per_score_radius or {}).items()}
         for label, v in [("default_radius", radius),
                          *((f"radius for {k!r}", v) for k, v in per_score.items())]:
             if v < 0:
@@ -360,22 +380,8 @@ class Uncertainty:
         object.__setattr__(self, "default_radius", radius)
         object.__setattr__(self, "per_score_radius", per_score)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Uncertainty is immutable")
-
     def radius_for(self, score_id: str) -> Fraction:
         return self.per_score_radius.get(score_id, self.default_radius)
-
-    def __eq__(self, other):
-        return (isinstance(other, Uncertainty)
-                and self.default_radius == other.default_radius
-                and self.per_score_radius == other.per_score_radius)
-
-    def __repr__(self):
-        parts = [f"Uncertainty({self.default_radius!s}"]
-        if self.per_score_radius:
-            parts.append(f", per_score_radius={self.per_score_radius}")
-        return "".join(parts) + ")"
 
 
 class ScoreReport:
@@ -552,20 +558,9 @@ def experiment_from_payload(payload: Mapping) -> ExperimentSpec:
         ts = testset_from_payload(entry["testset"])
         scheme = folding_from_payload(entry.get("folding", {"kind": "none"}))
         datasets.append(DatasetSpec(ts, scheme))
-
-    def _mode(key):
-        v = payload.get(key)
-        if v is None:
-            return None
-        try:
-            return AggregationMode(v)
-        except ValueError:
-            raise ParseError(
-                f"{key} must be one of "
-                f"{[m.value for m in AggregationMode]}, got {v!r}") from None
-
-    return ExperimentSpec(tuple(datasets), fold_aggregation=_mode("fold_aggregation"),
-                          dataset_aggregation=_mode("dataset_aggregation"))
+    return ExperimentSpec(tuple(datasets),
+                          fold_aggregation=payload.get("fold_aggregation"),
+                          dataset_aggregation=payload.get("dataset_aggregation"))
 
 
 def report_from_payload(payload: Mapping) -> ScoreReport:

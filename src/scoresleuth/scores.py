@@ -54,7 +54,7 @@ ends, evaluate(), the brute-force oracles and checkers that recompute a
 witness.
 
 invert() may be given a box `near`, such as its own result for the
-previous column of a scan or the previous round of a prune, and then
+previous column of a scan or the previous pass of a prune, and then
 gallops from its ends instead of bisecting the whole axis (saddleback
 search; Bird, MPC 2006). This changes no result. On the interior [1,
 size-1] the corner tests a_ok and b_ok are monotone (see invert()), so
@@ -67,6 +67,7 @@ calls depends on `near`, and it falls when the answer lies close to it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -495,7 +496,7 @@ class ScoreDefinition:
         exact.
 
         `near`, an int box such as this score's result for a neighbouring
-        column or an earlier pruning round, seeds the two interior searches
+        column or an earlier pruning pass, seeds the two interior searches
         from its ends (clamped to [1, size-1]; None means no seed). The
         result does not depend on it (see the module docstring), only the
         number of compare() calls does.
@@ -729,17 +730,12 @@ def fbeta_definition(beta, score_id: Optional[str] = None) -> ScoreDefinition:
         RationalInterval.closed(0, 1), 1, 1, default_enabled=False)
 
 
-_default_registry: Optional[ScoreRegistry] = None
-
-
+@functools.cache
 def default_registry() -> ScoreRegistry:
     """The registry loaded from the packaged data file (cached)."""
-    global _default_registry
-    if _default_registry is None:
-        text = resources.files("scoresleuth").joinpath(
-            "data/scores.json").read_text("utf-8")
-        _default_registry = ScoreRegistry.from_payload(json.loads(text))
-    return _default_registry
+    text = resources.files("scoresleuth").joinpath(
+        "data/scores.json").read_text("utf-8")
+    return ScoreRegistry.from_payload(json.loads(text))
 
 
 # -- module-level convenience bound to the default registry -----------------

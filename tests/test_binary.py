@@ -12,7 +12,7 @@ from scoresleuth.binary import check_single_testset, compute_targets, feasible_r
 from scoresleuth.errors import RegionTooLarge, UnknownScoreId
 from scoresleuth.model import ScoreReport, Testset, Uncertainty, infer_uncertainty
 from scoresleuth.oracle import brute_force_single
-from scoresleuth.scores import ScoreDefinition, default_registry
+from scoresleuth.scores import ScoreDefinition, default_registry, target_ends
 
 F = Fraction
 
@@ -150,9 +150,9 @@ def test_integer_scan_matches_brute_force():
     (3416, 1889, {"acc": "0.608", "gm": "0.632", "npv": "0.469"}, 243,
      (False, {"tp": 1701, "tn": 1520},
       {"tp_range": ["1701", "1812"], "tn_range": ["1418", "1520"]})),
-    # acc and err with parallel level sets: pruning takes 97 rounds to
+    # acc and err with parallel level sets: pruning takes 98 passes to
     # empty the boxes
-    (349, 14552, {"acc": "0.012", "err": "0.986"}, 389,
+    (349, 14552, {"acc": "0.012", "err": "0.986"}, 390,
      (True, None, {"tp_range": "empty", "tn_range": "empty"})),
 ])
 def test_inversion_count_is_pinned(monkeypatch, p, n, entries, inversions,
@@ -184,8 +184,8 @@ def test_inversion_count_is_pinned(monkeypatch, p, n, entries, inversions,
     (8557, 61698, {"mcc": "-0.07", "ppv": "0.13"}, 283558, 16728,
      (False, {"tp": 8361, "tn": 384},
       {"tp_range": ["0", "8557"], "tn_range": ["0", "61698"]})),
-    # 97 pruning rounds on parallel level sets: 10678 with bisections
-    (349, 14552, {"acc": "0.012", "err": "0.986"}, 2738, 389,
+    # 98 pruning passes on parallel level sets: 10678 with bisections
+    (349, 14552, {"acc": "0.012", "err": "0.986"}, 2745, 390,
      (True, None, {"tp_range": "empty", "tn_range": "empty"})),
 ])
 def test_compare_count_is_pinned(monkeypatch, p, n, entries, compares,
@@ -214,13 +214,21 @@ def _verdict(testset, report, uncertainty):
     return res.inconsistency, res.witness
 
 
-@pytest.mark.parametrize("rounds", [1, 2])
-def test_prune_cap_keeps_verdicts(monkeypatch, rounds):
-    """Stopping the prune after 1 or 2 rounds leaves wider boxes, but the
-    scan verifies every pair it visits: the verdict, the witness and the
-    feasible region equal those of an uncapped prune, on the reports of
-    test_integer_scan_matches_brute_force and on acc/err with parallel
-    level sets, which needs 97 rounds to empty its boxes."""
+def _scored(testset, report, uncertainty):
+    """The (definition, target ends) pairs the search prunes and scans
+    with, or None when a reported value lies outside its range."""
+    registry = default_registry()
+    defs = {score_id: registry.get(score_id) for score_id in report.ids}
+    targets, violation = compute_targets(report, uncertainty, defs)
+    if violation is not None:
+        return None
+    return [(defs[score_id], target_ends(targets[score_id]))
+            for score_id in sorted(targets)]
+
+
+def _pruning_cases():
+    """The reports of test_integer_scan_matches_brute_force, after acc/err
+    with parallel level sets (98 pruning passes to empty its boxes)."""
     rng = random.Random(20261018)
     ids = default_registry().ids()
     sizes = (0, 1, 0, 1) + tuple(range(13))
@@ -230,15 +238,55 @@ def test_prune_cap_keeps_verdicts(monkeypatch, rounds):
         p, n = rng.choice(sizes), rng.choice(sizes)
         if p + n:
             cases.append((Testset(p, n), *_oracle_report(rng, ids, p, n)))
-    monkeypatch.setattr(binary, "_MAX_PRUNE_ROUNDS", 10 ** 6)
-    uncapped = [_verdict(*case) for case in cases]
-    regions = [feasible_region(*case) for case in cases[1:]]
-    monkeypatch.setattr(binary, "_MAX_PRUNE_ROUNDS", rounds)
-    assert [_verdict(*case) for case in cases] == uncapped
-    assert [feasible_region(*case) for case in cases[1:]] == regions
-    assert uncapped[0] == (True, None)
-    assert check_single_testset(*cases[0]).evidence != {
-        "tp_range": "empty", "tn_range": "empty"}  # the cap did bind
+    return cases
+
+
+def test_pruning_keeps_verdicts():
+    """The scan alone, over the unpruned boxes [0, p] and [0, n], verifies
+    every pair it visits: its pairs are the feasible region of the pruned
+    search, and its first pair the witness, on the reports of
+    test_integer_scan_matches_brute_force and on acc/err."""
+    for case in _pruning_cases():
+        testset, report, uncertainty = case
+        p, n = testset.p, testset.n
+        scored = _scored(*case)
+        pairs = ([] if scored is None
+                 else list(binary._scan(scored, (0, p), (0, n), p, n)))
+        witness = {"tp": pairs[0][0], "tn": pairs[0][1]} if pairs else None
+        assert feasible_region(*case) == pairs, case
+        assert _verdict(*case) == (not pairs, witness), case
+
+
+def test_prune_reaches_a_fixpoint(monkeypatch):
+    """One more tp sweep and tn sweep over the boxes the prune returns
+    moves neither, on the reports of test_pruning_keeps_verdicts and on
+    kappa/ppv, which needs more passes than the old cap of 100 rounds
+    (295 rounds of the interleaved prune)."""
+    kappa_ppv = ScoreReport({"kappa": "-0.0040", "ppv": "0.0624"})
+    cases = [(Testset(519, 7564), kappa_ppv, infer_uncertainty(kappa_ppv)),
+             *_pruning_cases()]
+    sweep = binary._sweep
+    sweeps = []
+    monkeypatch.setattr(binary, "_sweep",
+                        lambda *args: sweeps.append(args[5]) or sweep(*args))
+    passes = []
+    for case in cases:
+        testset, report, uncertainty = case
+        p, n = testset.p, testset.n
+        scored = _scored(*case)
+        if scored is None:
+            continue
+        sweeps.clear()
+        tp_box, tn_box = binary._prune_boxes(scored, (0, p), (0, n), p, n)
+        passes.append(sweeps.count("tp"))
+        if tp_box is None:
+            assert tn_box is None
+            continue
+        near = [None] * len(scored)
+        assert sweep(scored, tn_box, tp_box, p, n, "tp", near) == tp_box, case
+        near = [None] * len(scored)
+        assert sweep(scored, tp_box, tn_box, p, n, "tn", near) == tn_box, case
+    assert passes[0] > 100 and passes[1] == 98, passes[:2]
 
 
 def test_epsilon_monotonicity():

@@ -129,6 +129,19 @@ def test_output_file_is_byte_deterministic(tmp_path, files, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_output_exits_two(tmp_path, files, capsys):
+    """A verdict that cannot be written is a usage error, not a verdict."""
+    out = tmp_path / "missing" / "verdict.json"
+    code = main(["check", "--spec", files("spec.json", TEXTBOOK_SPEC),
+                 "--scores", files("scores.json", TEXTBOOK_SCORES),
+                 "--eps", "1e-4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"cannot write {out}" in captured.err
+    assert not out.parent.exists()
+
+
 def test_timestamp_is_opt_in(files, capsys):
     spec = files("spec.json", TEXTBOOK_SPEC)
     scores = files("scores.json", TEXTBOOK_SCORES)

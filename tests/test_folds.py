@@ -1,12 +1,16 @@
 """Fold layouts: the stratified rule, unknown-configuration enumeration
 with its cap, and the OR over layouts."""
 
+import itertools
+
 import pytest
 
+from scoresleuth.aggregate import check_experiment
 from scoresleuth.errors import InvalidFoldCount, TooManyConfigurations
 from scoresleuth.feasibility import SolveOutcome
 from scoresleuth.folds import (
     DEFAULT_CONFIG_CAP,
+    _vectors_desc,
     config_cap,
     enumerate_fold_configurations,
     first_feasible,
@@ -14,7 +18,35 @@ from scoresleuth.folds import (
     iter_fold_configurations,
     stratified_split_counts,
 )
-from scoresleuth.model import FoldingScheme, MulticlassTestset, Testset
+from scoresleuth.model import (
+    AggregationMode,
+    ExperimentSpec,
+    FoldingScheme,
+    MulticlassTestset,
+    ScoreReport,
+    Testset,
+    infer_uncertainty,
+)
+
+
+def _recursive_fold_configurations(totals, k):
+    """Reference enumeration: one recursion level per fold, choosing every
+    fold (the last one too) among the vectors lex <= the fold before."""
+    def rec(remaining, slots, cap_vec):
+        if slots == 0:
+            if all(t == 0 for t in remaining):
+                yield ()
+            return
+        if sum(remaining) < slots:
+            return
+        for v in _vectors_desc(remaining, cap_vec):
+            if remaining[0] - v[0] > (slots - 1) * v[0]:
+                continue
+            rest = tuple(r - x for r, x in zip(remaining, v))
+            for tail in rec(rest, slots - 1, v):
+                yield (v,) + tail
+
+    return rec(tuple(totals), k, tuple(totals))
 
 
 class TestStratified:
@@ -69,6 +101,31 @@ class TestConfigurations:
             assert tuple(cfg) not in seen
             seen.add(tuple(cfg))
             assert tuple(sum(col) for col in zip(*cfg)) == (4, 3)
+
+    def test_matches_the_recursive_enumeration(self):
+        """The same configurations in the same order as the recursive
+        reference, for every totals of 1-3 classes with 0-4 samples each
+        and k = 1..5 (k at most the sample count)."""
+        compared = 0
+        for num_classes in (1, 2, 3):
+            for totals in itertools.product(range(5), repeat=num_classes):
+                for k in range(1, min(sum(totals), 5) + 1):
+                    want = list(_recursive_fold_configurations(totals, k))
+                    assert list(iter_fold_configurations(totals, k)) == want
+                    compared += len(want)
+        assert compared == 26569
+
+    def test_leave_one_out_past_the_recursion_limit(self):
+        """Leave-one-out with unknown folds, k = p + n = 1200, has exactly
+        one layout, and deciding it needs no recursion per fold."""
+        spec = ExperimentSpec.single(Testset(1100, 100),
+                                     FoldingScheme.unknown(1200),
+                                     AggregationMode.MEAN_OF_SCORES)
+        report = ScoreReport({"acc": "0.8"})
+        res = check_experiment(spec, report, infer_uncertainty(report))
+        assert not res.inconsistency
+        assert res.evidence == {"configurations_tried": 1}
+        assert res.witness["configuration"] == [[1, 0]] * 1100 + [[0, 1]] * 100
 
     def test_cap(self):
         with pytest.raises(TooManyConfigurations) as exc:

@@ -95,6 +95,28 @@ class TestValidateExperiment:
         with pytest.raises(InvalidFoldCount):
             validate_experiment(spec)
 
+    def test_stratified_error_names_the_dataset(self):
+        """Validation applies the stratified split rule itself and prefixes
+        its message with the dataset's index."""
+        spec = ExperimentSpec(
+            (DatasetSpec(Testset(4, 4)),
+             DatasetSpec(Testset(2, 1), FoldingScheme.stratified(3))),
+            fold_aggregation=MOS, dataset_aggregation=MOS)
+        with pytest.raises(InvalidFoldCount, match=r"^dataset 1: stratified "
+                           r"split of totals \(2, 1\) into k=3 folds leaves "
+                           r"a fold empty$"):
+            validate_experiment(spec)
+
+    def test_unknown_aggregation_mode_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"^fold_aggregation must be one "
+                           r"of \['score_of_means', 'mean_of_scores'\], "
+                           r"got 'bogus'$"):
+            ExperimentSpec((DatasetSpec(Testset(1, 1)),),
+                           fold_aggregation="bogus")
+        with pytest.raises(ParseError, match="^dataset_aggregation must"):
+            ExperimentSpec((DatasetSpec(Testset(1, 1)),),
+                           dataset_aggregation="median")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecError):
             FoldingScheme("bootstrap", k=3)
