@@ -257,6 +257,41 @@ def test_pruning_keeps_verdicts():
         assert _verdict(*case) == (not pairs, witness), case
 
 
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_prune_cap_keeps_verdicts(monkeypatch, rounds):
+    """Stopping the prune after 1 or 2 passes (a tp sweep and a tn sweep
+    each) leaves wider boxes, but the scan verifies every pair it visits:
+    the verdict, the witness and the feasible region equal those of the
+    prune run to its fixpoint, on the reports of
+    test_pruning_keeps_verdicts, and acc/err (98 passes to empty its
+    boxes) is still found inconsistent."""
+    cases = _pruning_cases()
+    full = [_verdict(*case) for case in cases]
+    regions = [feasible_region(*case) for case in cases[1:]]
+    prune, sweep = binary._prune_boxes, binary._sweep
+
+    def capped(scored, tp_box, tn_box, p, n):
+        calls = []
+
+        def counted(scored, other, box, p, n, axis, near):
+            calls.append(axis)
+            if len(calls) > 2 * rounds:
+                return box  # unchanged boxes end the prune's loop
+            return sweep(scored, other, box, p, n, axis, near)
+        monkeypatch.setattr(binary, "_sweep", counted)
+        try:
+            return prune(scored, tp_box, tn_box, p, n)
+        finally:
+            monkeypatch.setattr(binary, "_sweep", sweep)
+
+    monkeypatch.setattr(binary, "_prune_boxes", capped)
+    assert [_verdict(*case) for case in cases] == full
+    assert [feasible_region(*case) for case in cases[1:]] == regions
+    assert full[0] == (True, None)
+    assert check_single_testset(*cases[0]).evidence != {
+        "tp_range": "empty", "tn_range": "empty"}  # the cap did bind
+
+
 def test_prune_reaches_a_fixpoint(monkeypatch):
     """One more tp sweep and tn sweep over the boxes the prune returns
     moves neither, on the reports of test_pruning_keeps_verdicts and on
