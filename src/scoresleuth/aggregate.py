@@ -3,8 +3,11 @@
 Score-of-means aggregation pools raw counts, so those experiments reduce
 to the single-testset decision on totals. Mean-of-scores aggregation
 averages per-fold (or per-dataset) score values, which for affine scores
-is an exact integer feasibility problem over the per-fold confusion
-counts, solved by `feasibility` on each fold layout that `folds` allows.
+is an exact integer feasibility problem over the confusion counts of the
+averaged testsets, solved by `feasibility` on each fold layout that
+`folds` allows. `solve_means` writes those rows for every such mean: over
+the folds of a dataset, over datasets and their folds, and, for
+`multiclass`, over the one-vs-rest classes of a macro average.
 
 `check_experiment` is the dispatcher over a validated ExperimentSpec tree
 of binary datasets, and hands a multiclass dataset to `multiclass`.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .binary import check_single_testset, compute_targets
 from .errors import EmptyExperiment, TooManyConfigurations, UnsupportedExperiment
@@ -61,62 +64,62 @@ def reduce_som(folds: Sequence[Testset]) -> Testset:
     return Testset(sum(f.p for f in folds), sum(f.n for f in folds))
 
 
-# A group is (coefficient, folds): every fold's score enters each mean
-# constraint with the same rational coefficient, and each fold is its
-# (p, n) pair. A plain k-fold mean is one group with coefficient 1/k;
-# dataset-level means add one group per dataset with coefficients 1/D or
-# 1/(D*k_d).
-_Group = tuple[Fraction, tuple[tuple[int, int], ...]]
+def _fold_label(index: int, p: int, n: int) -> dict:
+    return {"fold": {"p": p, "n": n},
+            "reason": "score undefined on this fold for every outcome, so "
+                      "no finite mean exists"}
 
 
-def _solve_mos_groups(groups: Sequence[_Group], targets,
-                      registry) -> SolveOutcome:
-    """Feasibility of the mean constraints over all fold variables.
+def solve_means(leaves: Sequence[tuple[Fraction, int, int]], targets,
+                definitions, rows: Sequence[AffineConstraint] = (),
+                second: str = "tn", label: Callable = _fold_label
+                ) -> SolveOutcome:
+    """Feasibility of the reported means over `leaves`, with the caller's
+    extra `rows` over the same variables.
 
-    The outcome is excluded when some reported score is undefined on a
-    fold for every outcome (no finite mean could have been computed
-    there); a feasible outcome's solution is one list of fold counts per
-    group.
+    A leaf (weight, p, n) is a binary testset whose score enters every
+    mean with one weight: a fold of a k-fold mean (1/k), a dataset of D
+    (1/D), a fold of such a dataset (1/(D*k_d)), or one class of a
+    multiclass fold seen one-vs-rest (1/(k*C)). Leaf j has the variables
+    2j, its tp in [0, p], and 2j + 1, its `second` count in [0, n]: tn, or
+    fp = n - tn, which turns a*tp + b*tn + c into a*tp - b*fp + (b*n + c).
+    Each reported score gives one row, its weighted sum over the leaves
+    lying in `targets[id]`; `definitions.get(id)` is its definition.
+
+    The second count changes no verdict, but it changes the search, which
+    splits a domain lower half first. Binary means keep tn; the classes of
+    a confusion matrix use fp, in which its balance and margin rows have
+    unit coefficients. On the benchmark's requests, fp searches fewer
+    nodes on macro averages and more on binary fold means.
+
+    The outcome is excluded when a score is undefined on a leaf for every
+    outcome (no finite mean exists); its evidence names the score and,
+    built only then, `label(index, p, n)`. A feasible outcome's solution
+    is {"tp": tp, second: count} per leaf.
     """
-    domains: list[tuple[int, int]] = []
-    for _, folds in groups:
-        for p, n in folds:
-            domains.append((0, p))
-            domains.append((0, n))
-    constraints = []
+    domains = [d for _, p, n in leaves for d in ((0, p), (0, n))]
+    constraints = list(rows)
     for score_id, target in targets.items():
-        definition = registry.get(score_id)
+        definition = definitions.get(score_id)
         coeffs: list[Fraction] = []
         constant = Fraction(0)
-        for coeff, folds in groups:
-            for p, n in folds:
-                abc = definition.affine_coefficients(p, n)
-                if abc is None:
-                    return SolveOutcome(excluded=True, evidence={
-                        "score": score_id,
-                        "fold": {"p": p, "n": n},
-                        "reason": "score undefined on this fold for every "
-                                  "outcome, so no finite mean exists",
-                    })
-                a, b, c = abc
-                coeffs.append(coeff * a)
-                coeffs.append(coeff * b)
-                constant += coeff * c
+        for index, (weight, p, n) in enumerate(leaves):
+            abc = definition.affine_coefficients(p, n)
+            if abc is None:
+                return SolveOutcome(excluded=True, evidence={
+                    "score": score_id, **label(index, p, n)})
+            a, b, c = abc
+            if second == "fp":
+                b, c = -b, c + b * n
+            coeffs += (weight * a, weight * b)
+            constant += weight * c
         constraints.append(AffineConstraint(tuple(coeffs), constant, target))
-
     assignment = solve(domains, constraints)
     if assignment is None:
         return SolveOutcome(evidence={
             "reason": "no integer assignment satisfies all mean constraints"})
-    shaped: list[list[dict]] = []
-    idx = 0
-    for _, folds in groups:
-        fold_counts = []
-        for _ in folds:
-            fold_counts.append({"tp": assignment[idx], "tn": assignment[idx + 1]})
-            idx += 2
-        shaped.append(fold_counts)
-    return SolveOutcome(shaped, {})
+    return SolveOutcome([{"tp": tp, second: x} for tp, x in
+                         zip(assignment[::2], assignment[1::2])], {})
 
 
 def _mos_targets(scores: ScoreReport, uncertainty: Uncertainty,
@@ -146,10 +149,9 @@ def _check_mos_folds(testset: Testset, scheme: FoldingScheme,
         return ConsistencyResult(True, procedure, evidence=violation)
 
     def decide(layout) -> SolveOutcome:
-        outcome = _solve_mos_groups([(Fraction(1, len(layout)), layout)],
-                                    targets, registry)
-        return replace(outcome,
-                       solution=outcome.solution and outcome.solution[0])
+        weight = Fraction(1, len(layout))
+        return solve_means([(weight, p, n) for p, n in layout], targets,
+                           registry)
 
     return mos_verdict(procedure, (testset.p, testset.n), scheme, cap, decide)
 
@@ -260,9 +262,9 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
         raise TooManyConfigurations(combos, limit)
 
     def decide(combo) -> SolveOutcome:
-        return _solve_mos_groups(
-            [(Fraction(1, D * len(layout)), layout) for layout in combo],
-            targets, registry)
+        return solve_means([(Fraction(1, D * len(layout)), p, n)
+                            for layout in combo for p, n in layout],
+                           targets, registry)
 
     combo, outcome, tried, excluded = first_feasible(
         itertools.product(*alternatives), decide)
@@ -274,7 +276,9 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
                       "satisfying outcome",
         })
     witness_datasets = []
-    for ds, layout, counts in zip(spec.datasets, combo, outcome.solution):
+    leaves = iter(outcome.solution)
+    for ds, layout in zip(spec.datasets, combo):
+        counts = [next(leaves) for _ in layout]
         if fold_mos and ds.folding.is_folded:
             witness_datasets.append(
                 layout_witness(ds.folding.kind, layout, counts))

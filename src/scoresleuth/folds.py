@@ -46,10 +46,11 @@ def config_cap(cap: Optional[int] = None) -> int:
     return DEFAULT_CONFIG_CAP
 
 
-def _vectors_desc(totals: tuple[int, ...], cap_vec: tuple[int, ...]
-                  ) -> Iterator[tuple[int, ...]]:
-    """Nonzero vectors v with 0 <= v <= totals componentwise and
-    v <= cap_vec lexicographically, in decreasing lexicographic order."""
+def _vectors_desc(totals: tuple[int, ...], cap_vec: tuple[int, ...],
+                  budget: int) -> Iterator[tuple[int, ...]]:
+    """Nonzero vectors v with 0 <= v <= totals componentwise, sum(v) <=
+    budget and v <= cap_vec lexicographically, in decreasing lexicographic
+    order; none over the budget is generated."""
     m = len(totals)
 
     def rec(i: int, prefix: list[int], tight: bool) -> Iterator[tuple[int, ...]]:
@@ -58,7 +59,7 @@ def _vectors_desc(totals: tuple[int, ...], cap_vec: tuple[int, ...]
                 yield tuple(prefix)
             return
         top = min(totals[i], cap_vec[i]) if tight else totals[i]
-        for x in range(top, -1, -1):
+        for x in range(min(top, budget - sum(prefix)), -1, -1):
             prefix.append(x)
             yield from rec(i + 1, prefix, tight and x == cap_vec[i])
             prefix.pop()
@@ -74,9 +75,10 @@ def iter_fold_configurations(totals: Sequence[int], k: int
 
     A depth-first loop over an explicit stack, one frame per placed fold,
     so k is not bounded by the recursion limit. A frame's candidates are
-    the folds lex <= the one before that leave enough samples for the
-    folds still to place. The last fold is whatever the others leave: it
-    is yielded when it is nonempty and lex <= the fold before it."""
+    the folds lex <= the one before that leave a sample for each fold
+    still to place (`_vectors_desc` generates no other), so leave-one-out
+    examines O(k) candidates. The last fold is whatever the others leave:
+    it is yielded when it is nonempty and lex <= the fold before it."""
     totals = tuple(totals)
     if k < 1:
         raise InvalidFoldCount(f"k must be at least 1, got {k}")
@@ -88,10 +90,10 @@ def iter_fold_configurations(totals: Sequence[int], k: int
         return
 
     def candidates(remaining, slots, cap_vec):
-        if sum(remaining) < slots:  # each remaining fold needs >= 1 sample
-            return iter(())
-        # later folds are lex <= v, so their first components are <= v[0]
-        return (v for v in _vectors_desc(remaining, cap_vec)
+        # each fold still to place needs a sample, and as later folds are
+        # lex <= v, their first components are <= v[0]
+        return (v for v in _vectors_desc(remaining, cap_vec,
+                                         sum(remaining) - (slots - 1))
                 if remaining[0] - v[0] <= (slots - 1) * v[0])
 
     placed = []  # the fold chosen in each frame below the top one

@@ -15,21 +15,23 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
 
 * ``macro-<id>``: the base score is averaged over the C one-vs-rest views
   (tp_i = m[i][i], fp_i = sum of column i off the diagonal, tn_i by
-  complement). For scores affine in (tp, tn) the average is one affine
-  constraint over per-class (tp_i, fp_i) variables, decided by exact
-  branch-and-bound together with the conditions that make the margins
-  realizable by an actual matrix (see _solve_macro); non-affine base
-  scores are refused (NonlinearScoreUnsupported).
+  complement), so a macro average is a mean of binary scores over C
+  leaves, as a fold mean is over k, and `aggregate.solve_means` writes its
+  row. For scores affine in (tp, tn) that row is affine in the per-class
+  (tp_i, fp_i); _solve_macro adds the rows that make the views those of an
+  actual matrix, and exact branch-and-bound decides them all. Non-affine
+  base scores are refused (NonlinearScoreUnsupported).
 
 Cross-validated multiclass datasets compose the same way binary ones do:
 score-of-means pools to the parent testset, and mean-of-scores runs the
 OR over fold layouts of `folds`, with each fold's trace (micro) or matrix
-(macro) as variables. Micro fold means need the micro score's values at a
-fold's integer traces to lie on one line with rational slope; micro_affine
-decides that exactly from the values at t = 0 and t = 1 and an integer
-comparison at every other trace. On folds of two or more samples it holds
-for every registry score except jac, plr, nlr and gm (for C > 2); on a
-single-sample fold the two traces always lie on a line.
+(macro) as variables; a macro fold mean is a mean over k*C leaves. Micro
+fold means need the micro score's values at a fold's integer traces to lie
+on one line with rational slope; micro_affine decides that exactly from
+the values at t = 0 and t = 1 and an integer comparison at every other
+trace. On folds of two or more samples it holds for every registry score
+except jac, plr, nlr and gm (for C > 2); on a single-sample fold the two
+traces always lie on a line.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .aggregate import solve_means
 from .binary import compute_targets
 from .errors import (NonlinearScoreUnsupported, SpecError,
                      UnsupportedExperiment)
@@ -234,100 +237,89 @@ def _fill_offdiagonal(supply: Sequence[int], demand: Sequence[int]
     return out
 
 
+def _matrix_rows(fold_counts: Sequence[tuple[int, ...]]
+                 ) -> list[AffineConstraint]:
+    """The rows that make per-class one-vs-rest counts those of a confusion
+    matrix, over the variables of `aggregate.solve_means` with fp second:
+    class i of fold j is leaf j*C + i, so tp_i is variable 2*(j*C + i) and
+    fp_i the next one. Per fold, one balance row (sum fp = sum fn, written
+    sum tp + sum fp = total) and one margin row per class (fp_i + fn_i <=
+    sum fn, written fp_i + sum_{l != i} tp_l <= total - c_i).
+
+    Lemma: integer (tp_i, fp_i) in [0, c_i] x [0, total - c_i] satisfy a
+    fold's rows iff some matrix with row sums c has tp_i = m[i][i] and
+    fp_i = sum of column i off the diagonal. Off the diagonal, row i must
+    sum to fn_i = c_i - tp_i and column i to fp_i; such a nonnegative
+    matrix with zero diagonal exists iff the sums agree (the balance row)
+    and fp_i + fn_i <= the common sum for every i (_margins_realizable,
+    the margin rows).
+    """
+    num_classes = len(fold_counts[0])
+    nvars = 2 * num_classes * len(fold_counts)
+
+    def row(ones, bounds: RationalInterval) -> AffineConstraint:
+        coeffs = [Fraction(0)] * nvars
+        for v in ones:
+            coeffs[v] = Fraction(1)
+        return AffineConstraint(tuple(coeffs), Fraction(0), bounds)
+
+    rows = []
+    for j, counts in enumerate(fold_counts):
+        total = sum(counts)
+        tp_vars = range(2 * num_classes * j, 2 * num_classes * (j + 1), 2)
+        rows.append(row([*tp_vars, *(v + 1 for v in tp_vars)],
+                        RationalInterval.point(total)))
+        rows += [row([*(u for u in tp_vars if u != v), v + 1],
+                     RationalInterval(None, Fraction(total - c)))
+                 for v, c in zip(tp_vars, counts)]
+    return rows
+
+
 def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
                  targets) -> SolveOutcome:
     """Integer feasibility of macro-average (fold-mean) constraints, one
     confusion matrix per fold.
 
-    Rather than branching over all C^2 matrix entries, each fold is modeled
-    by its per-class one-vs-rest counts (tp_i, fp_i) — 2C variables — plus
-    the exact conditions for a matrix with those margins to exist: the
-    misclassifications must balance (sum fp = sum fn) and no class may
-    hoard them (fp_i + fn_i <= total misclassified). The conditions are
-    sufficient as well as necessary, so nothing real is lost, and a witness
-    matrix is reconstructed afterwards from the margins.
+    A macro average over k folds of C classes is a mean of k*C one-vs-rest
+    binary scores, so `aggregate.solve_means` writes the score rows over
+    one leaf (weight 1/(k*C), p = c_i, n = total - c_i) per class of each
+    fold, with its (tp_i, fp_i) as variables. What a confusion matrix adds
+    are the rows of _matrix_rows: per fold, the misclassifications balance
+    and no class hoards them. They hold exactly when some matrix has those
+    one-vs-rest views, so nothing real is lost, and a witness matrix is
+    filled in afterwards from the margins.
 
     The outcome is excluded when a reported score is structurally
     undefined for some class on some fold (no finite average exists
-    there); a feasible outcome's solution is one matrix per fold.
+    there); a feasible outcome's solution is one {"class_counts",
+    "matrix"} per fold.
     """
-    k = len(fold_counts)
     num_classes = len(fold_counts[0])
-    per_fold = 2 * num_classes
-    nvars = k * per_fold
 
-    def tp_var(fold: int, i: int) -> int:
-        return fold * per_fold + i
+    def label(index: int, p: int, n: int) -> dict:
+        fold, cls = divmod(index, num_classes)
+        return {"fold": fold, "class": cls,
+                "reason": "score undefined for this class on this fold for "
+                          "every outcome, so no finite average exists"}
 
-    def fp_var(fold: int, i: int) -> int:
-        return fold * per_fold + num_classes + i
-
-    domains: list[tuple[int, int]] = []
-    for counts in fold_counts:
-        total = sum(counts)
-        domains.extend((0, c) for c in counts)
-        domains.extend((0, total - c) for c in counts)
-
-    constraints = []
-    for j, counts in enumerate(fold_counts):
-        total = sum(counts)
-        # sum fp = sum fn, written as sum tp + sum fp = total
-        coeffs = [Fraction(0)] * nvars
-        for i in range(num_classes):
-            coeffs[tp_var(j, i)] = Fraction(1)
-            coeffs[fp_var(j, i)] = Fraction(1)
-        constraints.append(AffineConstraint(
-            tuple(coeffs), Fraction(0), RationalInterval.point(total)))
-        # fp_i + fn_i <= sum fn, written as fp_i + sum_{l != i} tp_l <= total - c_i
-        for i, c in enumerate(counts):
-            coeffs = [Fraction(0)] * nvars
-            coeffs[fp_var(j, i)] = Fraction(1)
-            for l in range(num_classes):
-                if l != i:
-                    coeffs[tp_var(j, l)] = Fraction(1)
-            constraints.append(AffineConstraint(
-                tuple(coeffs), Fraction(0),
-                RationalInterval(None, Fraction(total - c))))
-
-    weight = Fraction(1, k * num_classes)
-    for rid, definition in entries:
-        coeffs = [Fraction(0)] * nvars
-        constant = Fraction(0)
-        for j, counts in enumerate(fold_counts):
-            total = sum(counts)
-            for i, c in enumerate(counts):
-                abc = definition.affine_coefficients(c, total - c)
-                if abc is None:
-                    return SolveOutcome(excluded=True, evidence={
-                        "score": rid,
-                        "fold": j,
-                        "class": i,
-                        "reason": "score undefined for this class on this "
-                                  "fold for every outcome, so no finite "
-                                  "average exists",
-                    })
-                a, b, cst = abc
-                # tn_i = (total - c_i) - fp_i
-                coeffs[tp_var(j, i)] += weight * a
-                coeffs[fp_var(j, i)] -= weight * b
-                constant += weight * (b * (total - c) + cst)
-        constraints.append(AffineConstraint(tuple(coeffs), constant,
-                                            targets[rid]))
-
-    assignment = solve(domains, constraints)
-    if assignment is None:
-        return SolveOutcome(evidence={
+    weight = Fraction(1, len(fold_counts) * num_classes)
+    outcome = solve_means([(weight, c, sum(counts) - c)
+                           for counts in fold_counts for c in counts],
+                          targets, dict(entries), _matrix_rows(fold_counts),
+                          "fp", label)
+    if not outcome.feasible:
+        return outcome if outcome.excluded else SolveOutcome(evidence={
             "reason": "no integer confusion matrix reproduces every "
                       "reported average"})
+    views = iter(outcome.solution)
     matrices = []
-    for j, counts in enumerate(fold_counts):
-        tps = [assignment[tp_var(j, i)] for i in range(num_classes)]
-        fps = [assignment[fp_var(j, i)] for i in range(num_classes)]
-        fns = [c - tp for c, tp in zip(counts, tps)]
-        matrix = _fill_offdiagonal(fns, fps)
-        for i in range(num_classes):
-            matrix[i][i] = tps[i]
-        matrices.append(matrix)
+    for counts in fold_counts:
+        fold = [next(views) for _ in counts]
+        matrix = _fill_offdiagonal([c - v["tp"] for c, v in zip(counts, fold)],
+                                   [v["fp"] for v in fold])
+        for i, v in enumerate(fold):
+            matrix[i][i] = v["tp"]
+        matrices.append({"class_counts": list(counts), "matrix": matrix})
     return SolveOutcome(matrices)
 
 
@@ -346,8 +338,8 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
         return ConsistencyResult(True, procedure, evidence=violation)
     outcome = _solve_macro([testset.class_counts], entries, targets)
     if outcome.feasible:
-        return ConsistencyResult(False, procedure,
-                                 witness={"matrix": outcome.solution[0]})
+        return ConsistencyResult(False, procedure, witness={
+            "matrix": outcome.solution[0]["matrix"]})
     return ConsistencyResult(True, procedure, evidence=outcome.evidence)
 
 
@@ -441,11 +433,7 @@ def check_multiclass_dataset(testset: MulticlassTestset,
 
     def decide(layout) -> SolveOutcome:
         if family == "macro":
-            outcome = _solve_macro(layout, entries, targets)
-            if not outcome.feasible:
-                return outcome
-            return SolveOutcome([{"class_counts": list(v), "matrix": m}
-                                 for v, m in zip(layout, outcome.solution)])
+            return _solve_macro(layout, entries, targets)
         fold_totals = [sum(v) for v in layout]
         sizes = tuple(sorted(fold_totals))
         if sizes not in infeasible_sizes:

@@ -236,7 +236,7 @@ def _score_row(rng, anchor, weights):
 
 def _mos_like_system(rng):
     """Fold counts (tp_j, tn_j) of k folds with 1-3 mean-score rows over all
-    2k variables, as in `aggregate._solve_mos_groups`."""
+    2k variables, as `aggregate.solve_means` builds them for a k-fold mean."""
     k = rng.randint(1, 5)
     domains, anchor, weights = [], [], []
     for _ in range(k):
@@ -251,9 +251,12 @@ def _mos_like_system(rng):
 def _macro_like_system(rng):
     """Per-class (tp_i, fp_i) of one fold with C = 3-4 classes or of two
     folds with C = 3: balance rows (sum tp + sum fp = total), half-open
-    margin rows and dense score rows, as in `multiclass._solve_macro`. The
-    anchor comes from a random confusion matrix, so it satisfies the
-    balance and margin rows."""
+    margin rows and dense score rows, the rows `multiclass._solve_macro`
+    solves. Each fold's variables are its C tp counts, then its C fp
+    counts; `multiclass._matrix_rows` interleaves them per class instead,
+    which is only another order of the same system. The anchor comes from
+    a random confusion matrix, so it satisfies the balance and margin
+    rows."""
     folds = rng.randint(1, 2)
     classes = rng.randint(3, 5 - folds)
     per_fold = 2 * classes

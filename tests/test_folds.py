@@ -5,12 +5,12 @@ import itertools
 
 import pytest
 
+from scoresleuth import folds as folds_module
 from scoresleuth.aggregate import check_experiment
 from scoresleuth.errors import InvalidFoldCount, TooManyConfigurations
 from scoresleuth.feasibility import SolveOutcome
 from scoresleuth.folds import (
     DEFAULT_CONFIG_CAP,
-    _vectors_desc,
     config_cap,
     enumerate_fold_configurations,
     first_feasible,
@@ -29,9 +29,29 @@ from scoresleuth.model import (
 )
 
 
+def _vectors_desc(totals, cap_vec):
+    """Nonzero vectors v with 0 <= v <= totals componentwise and
+    v <= cap_vec lexicographically, in decreasing lexicographic order."""
+    m = len(totals)
+
+    def rec(i, prefix, tight):
+        if i == m:
+            if any(prefix):
+                yield tuple(prefix)
+            return
+        top = min(totals[i], cap_vec[i]) if tight else totals[i]
+        for x in range(top, -1, -1):
+            prefix.append(x)
+            yield from rec(i + 1, prefix, tight and x == cap_vec[i])
+            prefix.pop()
+
+    return rec(0, [], True)
+
+
 def _recursive_fold_configurations(totals, k):
     """Reference enumeration: one recursion level per fold, choosing every
-    fold (the last one too) among the vectors lex <= the fold before."""
+    fold (the last one too) among the vectors lex <= the fold before, all
+    of them generated with no bound on their sums."""
     def rec(remaining, slots, cap_vec):
         if slots == 0:
             if all(t == 0 for t in remaining):
@@ -115,17 +135,33 @@ class TestConfigurations:
                     compared += len(want)
         assert compared == 26569
 
-    def test_leave_one_out_past_the_recursion_limit(self):
+    def test_leave_one_out_past_the_recursion_limit(self, monkeypatch):
         """Leave-one-out with unknown folds, k = p + n = 1200, has exactly
-        one layout, and deciding it needs no recursion per fold."""
-        spec = ExperimentSpec.single(Testset(1100, 100),
-                                     FoldingScheme.unknown(1200),
-                                     AggregationMode.MEAN_OF_SCORES)
-        report = ScoreReport({"acc": "0.8"})
-        res = check_experiment(spec, report, infer_uncertainty(report))
-        assert not res.inconsistency
-        assert res.evidence == {"configurations_tried": 1}
-        assert res.witness["configuration"] == [[1, 0]] * 1100 + [[0, 1]] * 100
+        one layout, and deciding it needs no recursion per fold. Each fold
+        holds one sample, so no first fold of two or more is generated:
+        enumerating every layout examines at most two candidates (one per
+        class) per fold."""
+        examined = [0]
+        vectors_desc = folds_module._vectors_desc
+
+        def counted(*args):
+            for v in vectors_desc(*args):
+                examined[0] += 1
+                yield v
+
+        monkeypatch.setattr(folds_module, "_vectors_desc", counted)
+        for p, n, acc in [(1100, 100, "0.8"), (500, 700, "0.5")]:
+            spec = ExperimentSpec.single(Testset(p, n),
+                                         FoldingScheme.unknown(p + n),
+                                         AggregationMode.MEAN_OF_SCORES)
+            report = ScoreReport({"acc": acc})
+            res = check_experiment(spec, report, infer_uncertainty(report))
+            assert not res.inconsistency
+            assert res.evidence == {"configurations_tried": 1}
+            assert res.witness["configuration"] == [[1, 0]] * p + [[0, 1]] * n
+            examined[0] = 0
+            assert len(list(iter_fold_configurations((p, n), p + n))) == 1
+            assert examined[0] <= 2 * (p + n), (p, n, examined[0])
 
     def test_cap(self):
         with pytest.raises(TooManyConfigurations) as exc:

@@ -31,10 +31,12 @@ from scoresleuth.model import (
     ScoreReport,
     Testset,
     Uncertainty,
+    infer_uncertainty,
 )
 from scoresleuth.multiclass import (
     _fill_offdiagonal,
     _margins_realizable,
+    _matrix_rows,
     check_multiclass_dataset,
     check_multiclass_macro,
     check_multiclass_micro,
@@ -43,7 +45,8 @@ from scoresleuth.multiclass import (
     micro_value,
     split_average_prefix,
 )
-from scoresleuth.oracle import brute_force_macro
+from scoresleuth.oracle import (_compositions, brute_force_macro,
+                                generate_true_report)
 from scoresleuth.scores import ScoreDefinition, default_registry
 from scoresleuth.values import SqrtRational
 
@@ -279,6 +282,45 @@ def test_macro_matches_matrix_level_brute_force():
             got = macro_mean(scores.ids[0], res.witness["matrix"], tuple(counts))
             assert abs(got - scores.value(scores.ids[0])) <= F(1, 100)
 
+    # Multi-score reports: 1-3 of the 8 affine macro ids, C = 2-4, classes
+    # that may have no samples, and every other report true by
+    # construction, since few random multi-score reports are consistent.
+    affine = [f"macro-{i}" for i in ("acc", "err", "sens", "spec", "fpr",
+                                     "fnr", "bacc", "youden")]
+    verdicts = set()
+    for case in range(300):
+        c = rng.randint(2, 4)
+        while True:
+            counts = [rng.randint(0, 2 if c == 4 else 3) for _ in range(c)]
+            if sum(counts):
+                break
+        ts = MulticlassTestset(counts)
+        size = rng.randint(1, 3)
+        truthful = case % 2 == 0
+        if truthful:
+            while True:
+                _, report = generate_true_report(
+                    ExperimentSpec.single(ts), rng.getrandbits(64), 2)
+                if report.ids[0].startswith("macro-"):
+                    break
+            scores = ScoreReport({i: report.text(i)
+                                  for i in report.ids[:size]})
+        else:
+            scores = ScoreReport({i: f"0.{rng.randint(0, 99):02d}"
+                                  for i in rng.sample(affine, size)})
+        uncertainty = infer_uncertainty(scores)
+        res = check_multiclass_macro(ts, scores, uncertainty)
+        oracle = brute_force_macro(ts, scores, uncertainty)
+        assert res.inconsistency == oracle.inconsistency, (counts, scores)
+        assert not (truthful and res.inconsistency), (counts, scores)
+        verdicts.add(res.inconsistency)
+        if not res.inconsistency:
+            for rid in scores.ids:
+                got = macro_mean(rid, res.witness["matrix"], tuple(counts))
+                assert abs(got - scores.value(rid)) <= \
+                    uncertainty.radius_for(rid), (counts, scores, rid)
+    assert verdicts == {True, False}
+
 
 def test_macro_empty_class_excludes_sensitivity_means():
     # A class with no samples leaves its sensitivity undefined on every
@@ -287,6 +329,17 @@ def test_macro_empty_class_excludes_sensitivity_means():
     res = check_multiclass_macro(ts, ScoreReport.of(**{"macro-sens": "0.5"}), U(2))
     oracle = brute_force_macro(ts, ScoreReport.of(**{"macro-sens": "0.5"}), U(2))
     assert res.inconsistency and oracle.inconsistency
+    assert res.evidence["score"] == "macro-sens"
+    assert (res.evidence["fold"], res.evidence["class"]) == (0, 1)
+    # With known folds, the evidence names the fold that lacks the class.
+    folds = FoldingScheme.known([MulticlassTestset((1, 1, 1)),
+                                 MulticlassTestset((1, 1, 0))])
+    res = check_multiclass_dataset(MulticlassTestset((2, 2, 1)), folds, MOS,
+                                   ScoreReport.of(**{"macro-sens": "0.5"}),
+                                   U(2))
+    assert res.inconsistency
+    assert res.evidence["score"] == "macro-sens"
+    assert (res.evidence["fold"], res.evidence["class"]) == (1, 2)
 
 
 # ----------------------------------------------- off-diagonal margin fills
@@ -322,6 +375,51 @@ def test_margin_characterization_is_exact():
                 assert all(fill[i][i] == 0 for i in range(3))
                 assert [sum(row) for row in fill] == list(supply)
                 assert [sum(col) for col in zip(*fill)] == list(demand)
+
+
+def test_matrix_rows_hold_iff_a_confusion_matrix_has_the_views():
+    """Lemma of _matrix_rows, checked exhaustively on one fold with C <= 3
+    classes of at most 3 samples: integer (tp_i, fp_i) in their domains
+    satisfy the balance and margin rows iff some confusion matrix with row
+    sums c has those one-vs-rest views, and where they hold,
+    _fill_offdiagonal rebuilds such a matrix."""
+    checked = held = 0
+    for c in (2, 3):
+        for counts in itertools.product(range(4), repeat=c):
+            total = sum(counts)
+            views = set()
+            for m in itertools.product(*(_compositions(ci, c)
+                                         for ci in counts)):
+                views.add(tuple((m[i][i], sum(m[r][i] for r in range(c)) - m[i][i])
+                                for i in range(c)))
+            # integer coefficients, evaluated in int arithmetic for speed
+            rows = _matrix_rows([counts])
+            assert all(a.denominator == 1 for row in rows for a in row.coeffs)
+            constraints = [(tuple(map(int, row.coeffs)), row.constant,
+                            row.bounds) for row in rows]
+            domains = [range(ci + 1) for ci in counts] + \
+                      [range(total - ci + 1) for ci in counts]
+            for point in itertools.product(*domains):
+                tps, fps = point[:c], point[c:]
+                x = [v for tp_fp in zip(tps, fps) for v in tp_fp]
+                holds = all(
+                    bounds.contains(constant + sum(
+                        a * v for a, v in zip(coeffs, x) if a))
+                    for coeffs, constant, bounds in constraints)
+                assert holds == (tuple(zip(tps, fps)) in views), \
+                    (counts, tps, fps)
+                checked += 1
+                if holds:
+                    held += 1
+                    matrix = _fill_offdiagonal(
+                        [ci - tp for ci, tp in zip(counts, tps)], fps)
+                    for i, tp in enumerate(tps):
+                        matrix[i][i] = tp
+                    assert [sum(r) for r in matrix] == list(counts)
+                    assert all(matrix[i][i] == tps[i] and
+                               sum(col) - tps[i] == fps[i]
+                               for i, col in enumerate(zip(*matrix)))
+    assert held and checked > held
 
 
 # ------------------------------------------------------- folded multiclass
