@@ -64,7 +64,7 @@ def reduce_som(folds: Sequence[Testset]) -> Testset:
     return Testset(sum(f.p for f in folds), sum(f.n for f in folds))
 
 
-def _fold_label(index: int, p: int, n: int) -> dict:
+def _fold_label(_index: int, p: int, n: int) -> dict:
     return {"fold": {"p": p, "n": n},
             "reason": "score undefined on this fold for every outcome, so "
                       "no finite mean exists"}
@@ -97,6 +97,8 @@ def solve_means(leaves: Sequence[tuple[Fraction, int, int]], targets,
     built only then, `label(index, p, n)`. A feasible outcome's solution
     is {"tp": tp, second: count} per leaf.
     """
+    if second not in ("tn", "fp"):
+        raise ValueError(f"second count must be 'tn' or 'fp', not {second!r}")
     domains = [d for _, p, n in leaves for d in ((0, p), (0, n))]
     constraints = list(rows)
     for score_id, target in targets.items():

@@ -16,6 +16,7 @@ from scoresleuth.aggregate import (
     check_mos_known_folds,
     check_mos_unknown_folds,
     reduce_som,
+    solve_means,
 )
 from scoresleuth.binary import check_single_testset
 from scoresleuth.errors import (
@@ -34,6 +35,7 @@ from scoresleuth.model import (
     Uncertainty,
 )
 from scoresleuth.folds import iter_fold_configurations, stratified_split_counts
+from scoresleuth.intervals import RationalInterval
 from scoresleuth.oracle import brute_force_mos, render_decimal
 from scoresleuth.scores import default_registry
 
@@ -135,6 +137,18 @@ def test_fold_without_positives_cannot_average_sensitivity():
     assert res.inconsistency
     assert res.evidence["score"] == "sens"
     assert res.evidence["fold"] == {"p": 0, "n": 2}
+
+
+def test_solve_means_second_count_is_tn_or_fp():
+    leaves = [(F(1), 2, 2)]
+    targets = {"sens": RationalInterval.point(F(1, 2))}
+    definitions = {"sens": default_registry().get("sens")}
+    for second in ("tn", "fp"):
+        (view,) = solve_means(leaves, targets, definitions,
+                              second=second).solution
+        assert view.keys() == {"tp", second} and view["tp"] == 1
+    with pytest.raises(ValueError):
+        solve_means(leaves, targets, definitions, second="fn")
 
 
 # ------------------------------------------------- unknown fold sizes (OR)

@@ -28,6 +28,7 @@ from scoresleuth.feasibility import (
     solve,
 )
 from scoresleuth.intervals import EMPTY, RationalInterval
+from scoresleuth.multiclass import _matrix_rows
 
 F = Fraction
 
@@ -250,47 +251,30 @@ def _mos_like_system(rng):
 
 def _macro_like_system(rng):
     """Per-class (tp_i, fp_i) of one fold with C = 3-4 classes or of two
-    folds with C = 3: balance rows (sum tp + sum fp = total), half-open
-    margin rows and dense score rows, the rows `multiclass._solve_macro`
-    solves. Each fold's variables are its C tp counts, then its C fp
-    counts; `multiclass._matrix_rows` interleaves them per class instead,
-    which is only another order of the same system. The anchor comes from
-    a random confusion matrix, so it satisfies the balance and margin
-    rows."""
+    folds with C = 3, in the order `multiclass._solve_macro` solves them
+    (class i of fold j is variables 2*(j*C + i) and the next one), with the
+    balance and margin rows of `multiclass._matrix_rows` and dense score
+    rows. The anchor comes from a random confusion matrix, so it satisfies
+    the balance and margin rows."""
     folds = rng.randint(1, 2)
     classes = rng.randint(3, 5 - folds)
-    per_fold = 2 * classes
-    nvars = folds * per_fold
-    domains, anchor, constraints = [], [0] * nvars, []
-    for j in range(folds):
+    fold_counts, domains, anchor = [], [], []
+    for _ in range(folds):
         counts = [rng.randint(0, 3) for _ in range(classes)]
         total = sum(counts)
-        domains += [(0, c) for c in counts] + [(0, total - c) for c in counts]
-        predicted = [0] * classes
+        fold_counts.append(tuple(counts))
+        domains += [d for c in counts for d in ((0, c), (0, total - c))]
+        tps, predicted = [0] * classes, [0] * classes
         for i, c in enumerate(counts):
             for _ in range(c):
                 guess = rng.randrange(classes) if rng.random() < 0.4 else i
                 predicted[guess] += 1
-                anchor[j * per_fold + i] += guess == i
-        for i in range(classes):
-            tp = anchor[j * per_fold + i]
-            anchor[j * per_fold + classes + i] = predicted[i] - tp
-        balance = [F(0)] * nvars
-        for v in range(j * per_fold, (j + 1) * per_fold):
-            balance[v] = F(1)
-        constraints.append(AffineConstraint(tuple(balance), F(0),
-                                            RationalInterval.point(total)))
-        for i, c in enumerate(counts):
-            margin = [F(0)] * nvars
-            margin[j * per_fold + classes + i] = F(1)
-            for l in range(classes):
-                if l != i:
-                    margin[j * per_fold + l] = F(1)
-            constraints.append(AffineConstraint(
-                tuple(margin), F(0), RationalInterval.at_most(total - c)))
+                tps[i] += guess == i
+        anchor += [x for tp, pred in zip(tps, predicted) for x in (tp, pred - tp)]
+    constraints = _matrix_rows(fold_counts)
     weight = F(1, folds * classes)
     for _ in range(rng.randint(1, 2)):
-        constraints.append(_score_row(rng, anchor, [weight] * nvars))
+        constraints.append(_score_row(rng, anchor, [weight] * len(domains)))
     return domains, constraints
 
 

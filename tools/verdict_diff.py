@@ -5,9 +5,10 @@
     python3 tools/verdict_diff.py compare old.json new.json
 
 `dump` imports the library (`src/`) and the benchmark's `workloads.py` and
-`loop.py` (`perfbench/`) of the checkout under --root, builds the seeded
-request lists of every workload, and sends each request that is not a
-hard case through `loop.check_once`, the benchmark's own request path. The
+`loop.py` (`perfbench/`) of the checkout under --root, builds the request
+lists of every workload for the seeds in SEEDS (1-3), and sends each
+request that is not a hard case through `loop.check_once`, the
+benchmark's own request path. The
 dump maps a SHA-256 of each request's text to its workload, stratum,
 status and parsed response, so the dumps of two checkouts pair up request
 by request whatever the order of the lists (requests with the same text
@@ -40,7 +41,7 @@ def request_key(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
-def dump(root: str, seeds=SEEDS) -> dict:
+def dump(root: str) -> dict:
     """Every non-hard request's outcome under the checkout `root`."""
     root = os.path.abspath(root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -50,7 +51,7 @@ def dump(root: str, seeds=SEEDS) -> dict:
     loop.install_alarm()
     out = {}
     for workload in sorted(workloads.WORKLOADS):
-        for seed in seeds:
+        for seed in SEEDS:
             for request in workloads.build(workload, seed):
                 if request.stratum == "hard":
                     continue
@@ -88,14 +89,13 @@ def main(argv=None) -> int:
     d = sub.add_parser("dump", help="dump the responses of one checkout")
     d.add_argument("--root", default=".", help="checkout to import")
     d.add_argument("--out", required=True, help="JSON file to write")
-    d.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     c = sub.add_parser("compare", help="compare two dumps")
     c.add_argument("old")
     c.add_argument("new")
     args = parser.parse_args(argv)
 
     if args.command == "dump":
-        records = dump(args.root, args.seeds)
+        records = dump(args.root)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(records, fh, sort_keys=True)
         print(f"{len(records)} responses written to {args.out}")
