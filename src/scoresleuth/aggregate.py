@@ -4,10 +4,9 @@ Score-of-means aggregation pools raw counts, so those experiments reduce
 to the single-testset decision on totals. Mean-of-scores aggregation
 averages per-fold (or per-dataset) score values, which for affine scores
 is an exact integer feasibility problem over the confusion counts of the
-averaged testsets, solved by `feasibility` on each fold layout that
-`folds` allows. `solve_means` writes those rows for every such mean: over
-the folds of a dataset, over datasets and their folds, and, for
-`multiclass`, over the one-vs-rest classes of a macro average.
+averaged testsets (folds, datasets and, for `multiclass`, the classes of a
+macro average), whose rows `solve_means` writes and `feasibility` solves
+on each fold layout that `folds` allows.
 
 `check_experiment` is the dispatcher over a validated ExperimentSpec tree
 of binary datasets, and hands a multiclass dataset to `multiclass`.
@@ -72,25 +71,29 @@ def _fold_label(_index: int, p: int, n: int) -> dict:
 
 def solve_means(leaves: Sequence[tuple[Fraction, int, int]], targets,
                 definitions, rows: Sequence[AffineConstraint] = (),
-                second: str = "tn", label: Callable = _fold_label
-                ) -> SolveOutcome:
+                second: str = "tn", label: Callable = _fold_label,
+                block: int = 1) -> SolveOutcome:
     """Feasibility of the reported means over `leaves`, with the caller's
     extra `rows` over the same variables.
 
     A leaf (weight, p, n) is a binary testset whose score enters every
     mean with one weight: a fold of a k-fold mean (1/k), a dataset of D
     (1/D), a fold of such a dataset (1/(D*k_d)), or one class of a
-    multiclass fold seen one-vs-rest (1/(k*C)). Leaf j has the variables
-    2j, its tp in [0, p], and 2j + 1, its `second` count in [0, n]: tn, or
-    fp = n - tn, which turns a*tp + b*tn + c into a*tp - b*fp + (b*n + c).
+    multiclass fold seen one-vs-rest (1/(k*C)). Its variables are its tp
+    in [0, p] and its `second` count in [0, n]: tn, or fp = n - tn, which
+    turns a*tp + b*tn + c into a*tp - b*fp + (b*n + c). In each `block` of
+    leaves (it divides their number) the tp counts come first: leaf j's tp
+    is variable 2j - j % block and its second count that plus `block`.
     Each reported score gives one row, its weighted sum over the leaves
     lying in `targets[id]`; `definitions.get(id)` is its definition.
 
-    The second count changes no verdict, but it changes the search, which
-    splits a domain lower half first. Binary means keep tn; the classes of
-    a confusion matrix use fp, in which its balance and margin rows have
-    unit coefficients. On the benchmark's requests, fp searches fewer
-    nodes on macro averages and more on binary fold means.
+    Neither the second count nor the layout changes a verdict, but both
+    change the search, which splits the widest domain (lowest index on
+    ties) lower half first. Binary means use tn and block 1; macro means
+    use fp, which gives the matrix rows unit coefficients, and one fold of
+    C classes per block. On the benchmark, fp searches fewer nodes on
+    macro and more on binary means, and a hard macro request's time swings
+    from milliseconds to past the deadline with the layout alone.
 
     The outcome is excluded when a score is undefined on a leaf for every
     outcome (no finite mean exists); its evidence names the score and,
@@ -99,13 +102,16 @@ def solve_means(leaves: Sequence[tuple[Fraction, int, int]], targets,
     """
     if second not in ("tn", "fp"):
         raise ValueError(f"second count must be 'tn' or 'fp', not {second!r}")
-    domains = [d for _, p, n in leaves for d in ((0, p), (0, n))]
+    tps = [2 * j - j % block for j in range(len(leaves))]
+    domains = [(0, 0)] * (2 * len(leaves))
+    for (_, p, n), t in zip(leaves, tps):
+        domains[t], domains[t + block] = (0, p), (0, n)
     constraints = list(rows)
     for score_id, target in targets.items():
         definition = definitions.get(score_id)
-        coeffs: list[Fraction] = []
+        coeffs = [Fraction(0)] * len(domains)
         constant = Fraction(0)
-        for index, (weight, p, n) in enumerate(leaves):
+        for index, ((weight, p, n), t) in enumerate(zip(leaves, tps)):
             abc = definition.affine_coefficients(p, n)
             if abc is None:
                 return SolveOutcome(excluded=True, evidence={
@@ -113,15 +119,15 @@ def solve_means(leaves: Sequence[tuple[Fraction, int, int]], targets,
             a, b, c = abc
             if second == "fp":
                 b, c = -b, c + b * n
-            coeffs += (weight * a, weight * b)
+            coeffs[t], coeffs[t + block] = weight * a, weight * b
             constant += weight * c
         constraints.append(AffineConstraint(tuple(coeffs), constant, target))
     assignment = solve(domains, constraints)
     if assignment is None:
         return SolveOutcome(evidence={
             "reason": "no integer assignment satisfies all mean constraints"})
-    return SolveOutcome([{"tp": tp, second: x} for tp, x in
-                         zip(assignment[::2], assignment[1::2])], {})
+    return SolveOutcome([{"tp": assignment[t], second: assignment[t + block]}
+                         for t in tps], {})
 
 
 def _mos_targets(scores: ScoreReport, uncertainty: Uncertainty,

@@ -240,11 +240,12 @@ def _fill_offdiagonal(supply: Sequence[int], demand: Sequence[int]
 def _matrix_rows(fold_counts: Sequence[tuple[int, ...]]
                  ) -> list[AffineConstraint]:
     """The rows that make per-class one-vs-rest counts those of a confusion
-    matrix, over the variables of `aggregate.solve_means` with fp second:
-    class i of fold j is leaf j*C + i, so tp_i is variable 2*(j*C + i) and
-    fp_i the next one. Per fold, one balance row (sum fp = sum fn, written
-    sum tp + sum fp = total) and one margin row per class (fp_i + fn_i <=
-    sum fn, written fp_i + sum_{l != i} tp_l <= total - c_i).
+    matrix, over the variables of `aggregate.solve_means` with fp second
+    and one fold per block: class i of fold j is leaf j*C + i, so tp_i is
+    variable 2*C*j + i and fp_i is variable 2*C*j + C + i. Per fold, one
+    balance row (sum fp = sum fn, written sum tp + sum fp = total) and one
+    margin row per class (fp_i + fn_i <= sum fn, written fp_i +
+    sum_{l != i} tp_l <= total - c_i).
 
     Lemma: integer (tp_i, fp_i) in [0, c_i] x [0, total - c_i] satisfy a
     fold's rows iff some matrix with row sums c has tp_i = m[i][i] and
@@ -266,10 +267,10 @@ def _matrix_rows(fold_counts: Sequence[tuple[int, ...]]
     rows = []
     for j, counts in enumerate(fold_counts):
         total = sum(counts)
-        tp_vars = range(2 * num_classes * j, 2 * num_classes * (j + 1), 2)
-        rows.append(row([*tp_vars, *(v + 1 for v in tp_vars)],
+        tp_vars = range(2 * num_classes * j, (2 * j + 1) * num_classes)
+        rows.append(row([*tp_vars, *(v + num_classes for v in tp_vars)],
                         RationalInterval.point(total)))
-        rows += [row([*(u for u in tp_vars if u != v), v + 1],
+        rows += [row([*(u for u in tp_vars if u != v), v + num_classes],
                      RationalInterval(None, Fraction(total - c)))
                  for v, c in zip(tp_vars, counts)]
     return rows
@@ -281,13 +282,10 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
     confusion matrix per fold.
 
     A macro average over k folds of C classes is a mean of k*C one-vs-rest
-    binary scores, so `aggregate.solve_means` writes the score rows over
-    one leaf (weight 1/(k*C), p = c_i, n = total - c_i) per class of each
-    fold, with its (tp_i, fp_i) as variables. What a confusion matrix adds
-    are the rows of _matrix_rows: per fold, the misclassifications balance
-    and no class hoards them. They hold exactly when some matrix has those
-    one-vs-rest views, so nothing real is lost, and a witness matrix is
-    filled in afterwards from the margins.
+    binary scores: `aggregate.solve_means` writes its rows over one leaf
+    (weight 1/(k*C), p = c_i, n = total - c_i) per class, one fold per
+    block, with the rows of _matrix_rows added, and a witness matrix is
+    filled in from the margins of the solution.
 
     The outcome is excluded when a reported score is structurally
     undefined for some class on some fold (no finite average exists
@@ -306,15 +304,14 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
     outcome = solve_means([(weight, c, sum(counts) - c)
                            for counts in fold_counts for c in counts],
                           targets, dict(entries), _matrix_rows(fold_counts),
-                          "fp", label)
+                          "fp", label, num_classes)
     if not outcome.feasible:
         return outcome if outcome.excluded else SolveOutcome(evidence={
             "reason": "no integer confusion matrix reproduces every "
                       "reported average"})
-    views = iter(outcome.solution)
     matrices = []
-    for counts in fold_counts:
-        fold = [next(views) for _ in counts]
+    for j, counts in enumerate(fold_counts):
+        fold = outcome.solution[j * num_classes:(j + 1) * num_classes]
         matrix = _fill_offdiagonal([c - v["tp"] for c, v in zip(counts, fold)],
                                    [v["fp"] for v in fold])
         for i, v in enumerate(fold):

@@ -252,7 +252,7 @@ def _mos_like_system(rng):
 def _macro_like_system(rng):
     """Per-class (tp_i, fp_i) of one fold with C = 3-4 classes or of two
     folds with C = 3, in the order `multiclass._solve_macro` solves them
-    (class i of fold j is variables 2*(j*C + i) and the next one), with the
+    (per fold, the C tp counts and then the C fp counts), with the
     balance and margin rows of `multiclass._matrix_rows` and dense score
     rows. The anchor comes from a random confusion matrix, so it satisfies
     the balance and margin rows."""
@@ -263,14 +263,14 @@ def _macro_like_system(rng):
         counts = [rng.randint(0, 3) for _ in range(classes)]
         total = sum(counts)
         fold_counts.append(tuple(counts))
-        domains += [d for c in counts for d in ((0, c), (0, total - c))]
+        domains += [(0, c) for c in counts] + [(0, total - c) for c in counts]
         tps, predicted = [0] * classes, [0] * classes
         for i, c in enumerate(counts):
             for _ in range(c):
                 guess = rng.randrange(classes) if rng.random() < 0.4 else i
                 predicted[guess] += 1
                 tps[i] += guess == i
-        anchor += [x for tp, pred in zip(tps, predicted) for x in (tp, pred - tp)]
+        anchor += tps + [pred - tp for tp, pred in zip(tps, predicted)]
     constraints = _matrix_rows(fold_counts)
     weight = F(1, folds * classes)
     for _ in range(rng.randint(1, 2)):

@@ -401,10 +401,9 @@ def test_matrix_rows_hold_iff_a_confusion_matrix_has_the_views():
                       [range(total - ci + 1) for ci in counts]
             for point in itertools.product(*domains):
                 tps, fps = point[:c], point[c:]
-                x = [v for tp_fp in zip(tps, fps) for v in tp_fp]
                 holds = all(
                     bounds.contains(constant + sum(
-                        a * v for a, v in zip(coeffs, x) if a))
+                        a * v for a, v in zip(coeffs, point) if a))
                     for coeffs, constant, bounds in constraints)
                 assert holds == (tuple(zip(tps, fps)) in views), \
                     (counts, tps, fps)
