@@ -5,8 +5,8 @@ to the single-testset decision on totals. Mean-of-scores aggregation
 averages per-fold (or per-dataset) score values, which for affine scores
 is an exact integer feasibility problem over the confusion counts of the
 averaged testsets (folds, datasets and, for `multiclass`, the classes of a
-macro average), whose rows `solve_means` writes and `feasibility` solves
-on each fold layout that `folds` allows.
+macro average), whose variables and integer rows `solve_means` writes and
+`feasibility` solves on each fold layout that `folds` allows.
 
 `check_experiment` is the dispatcher over a validated ExperimentSpec tree
 of binary datasets, and hands a multiclass dataset to `multiclass`.
@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .binary import check_single_testset, compute_targets
 from .errors import EmptyExperiment, TooManyConfigurations, UnsupportedExperiment
-from .feasibility import AffineConstraint, SolveOutcome, solve
+from .feasibility import SolveOutcome, integer_row, solve
 from .folds import (config_cap, first_feasible, fold_layouts, layout_witness,
                     mos_verdict)
 from .model import (
@@ -63,71 +63,76 @@ def reduce_som(folds: Sequence[Testset]) -> Testset:
     return Testset(sum(f.p for f in folds), sum(f.n for f in folds))
 
 
-def _fold_label(_index: int, p: int, n: int) -> dict:
+def _fold_label(_fold: int, _leaf: int, p: int, n: int) -> dict:
     return {"fold": {"p": p, "n": n},
             "reason": "score undefined on this fold for every outcome, so "
                       "no finite mean exists"}
 
 
-def solve_means(leaves: Sequence[tuple[Fraction, int, int]], targets,
-                definitions, rows: Sequence[AffineConstraint] = (),
-                second: str = "tn", label: Callable = _fold_label,
-                block: int = 1) -> SolveOutcome:
-    """Feasibility of the reported means over `leaves`, with the caller's
-    extra `rows` over the same variables.
+def solve_means(folds: Sequence[Sequence[tuple[Fraction, int, int]]],
+                targets, definitions, rows: Sequence = (),
+                second: str = "tn", label: Callable = _fold_label
+                ) -> SolveOutcome:
+    """Feasibility of the reported means over the leaves of `folds`, with
+    the caller's extra integer `rows`.
 
     A leaf (weight, p, n) is a binary testset whose score enters every
     mean with one weight: a fold of a k-fold mean (1/k), a dataset of D
     (1/D), a fold of such a dataset (1/(D*k_d)), or one class of a
-    multiclass fold seen one-vs-rest (1/(k*C)). Its variables are its tp
-    in [0, p] and its `second` count in [0, n]: tn, or fp = n - tn, which
-    turns a*tp + b*tn + c into a*tp - b*fp + (b*n + c). In each `block` of
-    leaves (it divides their number) the tp counts come first: leaf j's tp
-    is variable 2j - j % block and its second count that plus `block`.
-    Each reported score gives one row, its weighted sum over the leaves
-    lying in `targets[id]`; `definitions.get(id)` is its definition.
+    multiclass fold seen one-vs-rest (1/(k*C)); a binary fold or dataset is
+    a fold of one leaf, a macro fold one of C. Leaf i of fold f has counts
+    (f, i, "tp") in [0, p] and (f, i, second) in [0, n], tn or fp = n - tn
+    (a*tp + b*tn + c = a*tp - b*fp + (b*n + c)). Only this function lays
+    them out as variables: per fold, its tp counts, then its second counts.
+    Extra rows are (terms, lo, hi) with (key, int) terms. After them, each
+    reported score `id` (defined by `definitions.get(id)`) gives one row by
+    `feasibility.integer_row`: its weighted sum over the leaves lies in
+    `targets[id]`.
 
     Neither the second count nor the layout changes a verdict, but both
     change the search, which splits the widest domain (lowest index on
-    ties) lower half first. Binary means use tn and block 1; macro means
-    use fp, which gives the matrix rows unit coefficients, and one fold of
-    C classes per block. On the benchmark, fp searches fewer nodes on
-    macro and more on binary means, and a hard macro request's time swings
-    from milliseconds to past the deadline with the layout alone.
+    ties) lower half first. Binary means use tn; macro means use fp, which
+    gives the matrix rows unit coefficients. On the benchmark, fp searches
+    fewer nodes on macro and more on binary means, and a hard macro
+    request's time swings from milliseconds to past the deadline with the
+    layout alone.
 
     The outcome is excluded when a score is undefined on a leaf for every
     outcome (no finite mean exists); its evidence names the score and,
-    built only then, `label(index, p, n)`. A feasible outcome's solution
-    is {"tp": tp, second: count} per leaf.
+    built only then, `label(fold, leaf, p, n)`. A feasible outcome's
+    solution is {"tp": tp, second: count} per leaf, fold by fold.
     """
     if second not in ("tn", "fp"):
         raise ValueError(f"second count must be 'tn' or 'fp', not {second!r}")
-    tps = [2 * j - j % block for j in range(len(leaves))]
-    domains = [(0, 0)] * (2 * len(leaves))
-    for (_, p, n), t in zip(leaves, tps):
-        domains[t], domains[t + block] = (0, p), (0, n)
-    constraints = list(rows)
+    domains, index, leaves = [], {}, []
+    for f, fold in enumerate(folds):
+        for i, leaf in enumerate(fold):
+            t = index[f, i, "tp"] = len(domains) + i
+            s = index[f, i, second] = t + len(fold)
+            leaves.append((f, i, t, s, leaf))
+        domains += [(0, p) for _, p, _ in fold] + [(0, n) for _, _, n in fold]
+    system = [(sorted((index[key], c) for key, c in terms), lo, hi)
+              for terms, lo, hi in rows]
     for score_id, target in targets.items():
         definition = definitions.get(score_id)
-        coeffs = [Fraction(0)] * len(domains)
-        constant = Fraction(0)
-        for index, ((weight, p, n), t) in enumerate(zip(leaves, tps)):
+        coeffs, constant = {}, Fraction(0)
+        for f, i, t, s, (weight, p, n) in leaves:
             abc = definition.affine_coefficients(p, n)
             if abc is None:
                 return SolveOutcome(excluded=True, evidence={
-                    "score": score_id, **label(index, p, n)})
+                    "score": score_id, **label(f, i, p, n)})
             a, b, c = abc
             if second == "fp":
                 b, c = -b, c + b * n
-            coeffs[t], coeffs[t + block] = weight * a, weight * b
+            coeffs[t], coeffs[s] = weight * a, weight * b
             constant += weight * c
-        constraints.append(AffineConstraint(tuple(coeffs), constant, target))
-    assignment = solve(domains, constraints)
+        system.append(integer_row(coeffs, constant, target))
+    assignment = solve(domains, system)
     if assignment is None:
         return SolveOutcome(evidence={
             "reason": "no integer assignment satisfies all mean constraints"})
-    return SolveOutcome([{"tp": assignment[t], second: assignment[t + block]}
-                         for t in tps], {})
+    return SolveOutcome([{"tp": assignment[t], second: assignment[s]}
+                         for _, _, t, s, _ in leaves], {})
 
 
 def _mos_targets(scores: ScoreReport, uncertainty: Uncertainty,
@@ -158,7 +163,7 @@ def _check_mos_folds(testset: Testset, scheme: FoldingScheme,
 
     def decide(layout) -> SolveOutcome:
         weight = Fraction(1, len(layout))
-        return solve_means([(weight, p, n) for p, n in layout], targets,
+        return solve_means([[(weight, p, n)] for p, n in layout], targets,
                            registry)
 
     return mos_verdict(procedure, (testset.p, testset.n), scheme, cap, decide)
@@ -270,7 +275,7 @@ def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,
         raise TooManyConfigurations(combos, limit)
 
     def decide(combo) -> SolveOutcome:
-        return solve_means([(Fraction(1, D * len(layout)), p, n)
+        return solve_means([[(Fraction(1, D * len(layout)), p, n)]
                             for layout in combo for p, n in layout],
                            targets, registry)
 

@@ -31,7 +31,7 @@ from typing import Optional
 from . import aggregate, binary, multiclass, regression
 from .aggregate import check_experiment
 from .bundles import check_bundle, list_bundles, load_bundle
-from .errors import ResourceLimit, ScoreSleuthError
+from .errors import ParseError, ResourceLimit, ScoreSleuthError
 from .model import (
     Uncertainty,
     as_fraction,
@@ -105,8 +105,10 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ScoreSleuthError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScoreSleuthError(f"{path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # also text that is not UTF-8, integers past the int/str conversion
+        # limit, and arrays or objects nested past the recursion limit
+        raise ParseError(f"cannot parse {path} as JSON: {exc}") from None
 
 
 def _uncertainty(args, report) -> Uncertainty:

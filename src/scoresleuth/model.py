@@ -17,6 +17,8 @@ artifact, not a binary one.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,11 +39,31 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
+#: No numeral may need a power of ten of more digits: CPython's default
+#: int/str conversion limit, which already refuses longer JSON integers.
+MAX_POWER_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _check_power(text: str, magnitude: Optional[int] = None) -> None:
+    """ParseError when numeral `text` needs 10**magnitude (by default, its
+    exponent's) and that has more than MAX_POWER_DIGITS digits. Fraction
+    builds 10**|exponent| first, so the exponent is read from its text."""
+    if magnitude is None:
+        match = _EXPONENT.search(text)
+        digits = match.group(1).replace("_", "").lstrip("0") if match else ""
+        magnitude = int(digits or "0") if len(digits) < 6 else MAX_POWER_DIGITS
+    if magnitude >= MAX_POWER_DIGITS:
+        raise ParseError(f"{reprlib.repr(text)} needs a power of ten of more "
+                         f"than {MAX_POWER_DIGITS} digits")
+
+
 def as_fraction(value) -> Fraction:
     """Parse a reported number into an exact Fraction.
 
     Accepts Fraction, int, float (via repr) and strings in decimal
-    ("0.8464"), scientific ("1e-4") or ratio ("1/10000") notation.
+    ("0.8464"), scientific ("1e-4", |exponent| < MAX_POWER_DIGITS) or
+    ratio ("1/10000") notation.
     """
     if isinstance(value, Fraction):
         return value
@@ -52,6 +74,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, str):
+        _check_power(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -66,10 +89,12 @@ def infer_radius_from_text(value_text: str) -> Fraction:
     within 10^-4 of the printed one whether it was rounded or truncated.
     Integer-valued text gets the deliberately conservative radius 1, since
     "1" may be anything that printed as 1 at zero decimals. Scientific
-    notation shifts the count by the exponent ("5e-3" -> 10^-3).
+    notation shifts the count by the exponent ("5e-3" -> 10^-3). Both the
+    exponent and the count must be below MAX_POWER_DIGITS in magnitude.
     """
     if not isinstance(value_text, str):
         raise ParseError(f"expected decimal text, got {value_text!r}")
+    _check_power(value_text)
     text = value_text.strip()
     try:
         Fraction(text)
@@ -82,6 +107,7 @@ def infer_radius_from_text(value_text: str) -> Fraction:
     exp = int(exponent) if exponent else 0
     _, point, frac_digits = mantissa.partition(".")
     k = (len(frac_digits) if point else 0) - exp
+    _check_power(value_text, abs(k))
     return Fraction(1, 10 ** k) if k >= 0 else Fraction(10 ** -k)
 
 
@@ -501,11 +527,18 @@ def testset_to_payload(ts: AnyTestset) -> dict:
     return {"p": ts.p, "n": ts.n}
 
 
+def _array(value, what: str) -> Sequence:
+    """`value` if it is a JSON array (a sequence but not a string)."""
+    if isinstance(value, str) or not isinstance(value, Sequence):
+        raise ParseError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def testset_from_payload(payload: Mapping) -> AnyTestset:
     if not isinstance(payload, Mapping):
         raise ParseError(f"testset must be an object, got {payload!r}")
     if "class_counts" in payload:
-        return MulticlassTestset(payload["class_counts"])
+        return MulticlassTestset(_array(payload["class_counts"], "class_counts"))
     if "p" in payload and "n" in payload:
         return Testset(payload["p"], payload["n"])
     raise ParseError(f"testset needs either p/n or class_counts: {dict(payload)!r}")
@@ -526,7 +559,7 @@ def folding_from_payload(payload: Mapping) -> FoldingScheme:
     kind = payload.get("kind", "none")
     folds = payload.get("folds")
     if folds is not None:
-        folds = tuple(testset_from_payload(f) for f in folds)
+        folds = tuple(map(testset_from_payload, _array(folds, "folds")))
     return FoldingScheme(kind, folds=folds, k=payload.get("k"))
 
 
@@ -548,11 +581,8 @@ def experiment_to_payload(spec: ExperimentSpec) -> dict:
 def experiment_from_payload(payload: Mapping) -> ExperimentSpec:
     if not isinstance(payload, Mapping):
         raise ParseError(f"experiment must be an object, got {payload!r}")
-    raw_datasets = payload.get("datasets")
-    if not isinstance(raw_datasets, Sequence) or isinstance(raw_datasets, str):
-        raise ParseError("experiment needs a 'datasets' array")
     datasets = []
-    for entry in raw_datasets:
+    for entry in _array(payload.get("datasets"), "experiment 'datasets'"):
         if not isinstance(entry, Mapping) or "testset" not in entry:
             raise ParseError(f"dataset entry needs a 'testset': {entry!r}")
         ts = testset_from_payload(entry["testset"])

@@ -18,20 +18,21 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
   complement), so a macro average is a mean of binary scores over C
   leaves, as a fold mean is over k, and `aggregate.solve_means` writes its
   row. For scores affine in (tp, tn) that row is affine in the per-class
-  (tp_i, fp_i); _solve_macro adds the rows that make the views those of an
-  actual matrix, and exact branch-and-bound decides them all. Non-affine
-  base scores are refused (NonlinearScoreUnsupported).
+  (tp_i, fp_i); _matrix_rows adds the rows that make the views those of
+  an actual matrix, and exact branch-and-bound decides them all.
+  Non-affine base scores are refused (NonlinearScoreUnsupported).
 
 Cross-validated multiclass datasets compose the same way binary ones do:
-score-of-means pools to the parent testset, and mean-of-scores runs the
-OR over fold layouts of `folds`, with each fold's trace (micro) or matrix
-(macro) as variables; a macro fold mean is a mean over k*C leaves. Micro
-fold means need the micro score's values at a fold's integer traces to lie
-on one line with rational slope; micro_affine decides that exactly from
-the values at t = 0 and t = 1 and an integer comparison at every other
-trace. On folds of two or more samples it holds for every registry score
-except jac, plr, nlr and gm (for C > 2); on a single-sample fold the two
-traces always lie on a line.
+score-of-means pools to the parent testset, and mean-of-scores runs the OR
+over fold layouts of `folds`, with each fold's trace (micro) or matrix
+(macro) as variables; a macro fold mean is a mean over k folds of C
+leaves, a micro fold mean an integer row over the k traces. Micro fold
+means need the micro score's values at a fold's integer traces to lie on
+one line with rational slope; micro_affine decides that exactly from the
+values at t = 0 and t = 1 and an integer comparison at every other trace.
+On folds of two or more samples it holds for every registry score except
+jac, plr, nlr and gm (for C > 2); on a single-sample fold the two traces
+always lie on a line.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from .aggregate import solve_means
 from .binary import compute_targets
 from .errors import (NonlinearScoreUnsupported, SpecError,
                      UnsupportedExperiment)
-from .feasibility import AffineConstraint, SolveOutcome, solve
+from .feasibility import SolveOutcome, integer_row, solve
 from .folds import mos_verdict
-from .intervals import RationalInterval
 from .model import (
     AggregationMode,
     ConsistencyResult,
@@ -237,12 +237,10 @@ def _fill_offdiagonal(supply: Sequence[int], demand: Sequence[int]
     return out
 
 
-def _matrix_rows(fold_counts: Sequence[tuple[int, ...]]
-                 ) -> list[AffineConstraint]:
+def _matrix_rows(fold_counts: Sequence[tuple[int, ...]]) -> list:
     """The rows that make per-class one-vs-rest counts those of a confusion
-    matrix, over the variables of `aggregate.solve_means` with fp second
-    and one fold per block: class i of fold j is leaf j*C + i, so tp_i is
-    variable 2*C*j + i and fp_i is variable 2*C*j + C + i. Per fold, one
+    matrix, as `aggregate.solve_means` takes extra rows: unit terms over
+    the keys (fold, class, "tp") and (fold, class, "fp"). Per fold, one
     balance row (sum fp = sum fn, written sum tp + sum fp = total) and one
     margin row per class (fp_i + fn_i <= sum fn, written fp_i +
     sum_{l != i} tp_l <= total - c_i).
@@ -255,24 +253,15 @@ def _matrix_rows(fold_counts: Sequence[tuple[int, ...]]
     and fp_i + fn_i <= the common sum for every i (_margins_realizable,
     the margin rows).
     """
-    num_classes = len(fold_counts[0])
-    nvars = 2 * num_classes * len(fold_counts)
-
-    def row(ones, bounds: RationalInterval) -> AffineConstraint:
-        coeffs = [Fraction(0)] * nvars
-        for v in ones:
-            coeffs[v] = Fraction(1)
-        return AffineConstraint(tuple(coeffs), Fraction(0), bounds)
-
     rows = []
     for j, counts in enumerate(fold_counts):
         total = sum(counts)
-        tp_vars = range(2 * num_classes * j, (2 * j + 1) * num_classes)
-        rows.append(row([*tp_vars, *(v + num_classes for v in tp_vars)],
-                        RationalInterval.point(total)))
-        rows += [row([*(u for u in tp_vars if u != v), v + num_classes],
-                     RationalInterval(None, Fraction(total - c)))
-                 for v, c in zip(tp_vars, counts)]
+        classes = range(len(counts))
+        rows.append(([((j, i, count), 1) for count in ("tp", "fp")
+                      for i in classes], total, total))
+        rows += [([((j, l, "tp"), 1) for l in classes if l != i]
+                  + [((j, i, "fp"), 1)], None, total - c)
+                 for i, c in enumerate(counts)]
     return rows
 
 
@@ -282,36 +271,33 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
     confusion matrix per fold.
 
     A macro average over k folds of C classes is a mean of k*C one-vs-rest
-    binary scores: `aggregate.solve_means` writes its rows over one leaf
-    (weight 1/(k*C), p = c_i, n = total - c_i) per class, one fold per
-    block, with the rows of _matrix_rows added, and a witness matrix is
-    filled in from the margins of the solution.
+    binary scores: `aggregate.solve_means` writes its rows over k folds of
+    C leaves (1/(k*C), c_i, total - c_i) with fp second, beside the rows
+    of _matrix_rows, and a witness matrix is filled in from the margins.
 
     The outcome is excluded when a reported score is structurally
     undefined for some class on some fold (no finite average exists
     there); a feasible outcome's solution is one {"class_counts",
     "matrix"} per fold.
     """
-    num_classes = len(fold_counts[0])
-
-    def label(index: int, p: int, n: int) -> dict:
-        fold, cls = divmod(index, num_classes)
+    def label(fold: int, cls: int, p: int, n: int) -> dict:
         return {"fold": fold, "class": cls,
                 "reason": "score undefined for this class on this fold for "
                           "every outcome, so no finite average exists"}
 
-    weight = Fraction(1, len(fold_counts) * num_classes)
-    outcome = solve_means([(weight, c, sum(counts) - c)
-                           for counts in fold_counts for c in counts],
+    weight = Fraction(1, len(fold_counts) * len(fold_counts[0]))
+    outcome = solve_means([[(weight, c, sum(counts) - c) for c in counts]
+                           for counts in fold_counts],
                           targets, dict(entries), _matrix_rows(fold_counts),
-                          "fp", label, num_classes)
+                          "fp", label)
     if not outcome.feasible:
         return outcome if outcome.excluded else SolveOutcome(evidence={
             "reason": "no integer confusion matrix reproduces every "
                       "reported average"})
     matrices = []
-    for j, counts in enumerate(fold_counts):
-        fold = outcome.solution[j * num_classes:(j + 1) * num_classes]
+    views = iter(outcome.solution)
+    for counts in fold_counts:
+        fold = [next(views) for _ in counts]
         matrix = _fill_offdiagonal([c - v["tp"] for c, v in zip(counts, fold)],
                                    [v["fp"] for v in fold])
         for i, v in enumerate(fold):
@@ -347,16 +333,16 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
 
 def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
                        entries, targets):
-    """Domains and constraints for fold means of micro scores: one trace
-    variable per fold. Raises NonlinearScoreUnsupported when some score is
-    not an affine function of a fold's trace."""
+    """Domains and integer rows for fold means of micro scores: one trace
+    variable per fold, each score's row written by
+    `feasibility.integer_row`. Raises NonlinearScoreUnsupported when some
+    score is not an affine function of a fold's trace."""
     k = len(fold_totals)
     domains = [(0, total) for total in fold_totals]
-    constraints = []
+    rows = []
     for rid, definition in entries:
-        coeffs = []
-        constant = Fraction(0)
-        for total in fold_totals:
+        coeffs, constant = {}, Fraction(0)
+        for j, total in enumerate(fold_totals):
             ab = micro_affine(definition, total, num_classes)
             if ab is None:
                 raise NonlinearScoreUnsupported(
@@ -364,11 +350,10 @@ def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
                     f"trace (fold size {total}, {num_classes} classes), so "
                     f"its fold mean does not yield a linear constraint")
             a, b = ab
-            coeffs.append(a / k)
+            coeffs[j] = a / k
             constant += b / k
-        constraints.append(AffineConstraint(tuple(coeffs), constant,
-                                            targets[rid]))
-    return domains, constraints
+        rows.append(integer_row(coeffs, constant, targets[rid]))
+    return domains, rows
 
 
 def check_multiclass_dataset(testset: MulticlassTestset,

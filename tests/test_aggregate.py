@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from scoresleuth import aggregate
 from scoresleuth.aggregate import (
     check_experiment,
     check_mos_known_folds,
@@ -30,12 +31,14 @@ from scoresleuth.model import (
     DatasetSpec,
     ExperimentSpec,
     FoldingScheme,
+    MulticlassTestset,
     ScoreReport,
     Testset,
     Uncertainty,
 )
 from scoresleuth.folds import iter_fold_configurations, stratified_split_counts
 from scoresleuth.intervals import RationalInterval
+from scoresleuth.multiclass import check_multiclass_macro
 from scoresleuth.oracle import brute_force_mos, render_decimal
 from scoresleuth.scores import default_registry
 
@@ -140,16 +143,66 @@ def test_fold_without_positives_cannot_average_sensitivity():
 
 
 def test_solve_means_second_count_is_tn_or_fp():
-    leaves = [(F(1), 2, 2)]
+    folds = [[(F(1), 2, 2)]]
     targets = {"sens": RationalInterval.point(F(1, 2))}
     definitions = {"sens": default_registry().get("sens")}
     for second in ("tn", "fp"):
-        (view,) = solve_means(leaves, targets, definitions,
+        (view,) = solve_means(folds, targets, definitions,
                               second=second).solution
         assert view.keys() == {"tp", second} and view["tp"] == 1
     with pytest.raises(ValueError):
-        solve_means(leaves, targets, definitions, second="fn")
+        solve_means(folds, targets, definitions, second="fn")
 
+
+
+def _capture_systems(monkeypatch):
+    """The (domains, rows) of every system `solve_means` hands the
+    kernel."""
+    systems, real = [], aggregate.solve
+
+    def capture(domains, rows):
+        systems.append((domains, rows))
+        return real(domains, rows)
+
+    monkeypatch.setattr(aggregate, "solve", capture)
+    return systems
+
+
+def test_solve_means_system_of_a_binary_fold_mean(monkeypatch):
+    # Folds (p, n) = (2, 3) and (3, 2); variables tp_0, tn_0, tp_1, tn_1.
+    # acc: (tp_0 + tn_0 + tp_1 + tn_1)/10 in [49/100, 51/100], scaled by 10
+    # to [4.9, 5.1], so the sum is 5. sens: tp_0/4 + tp_1/6 in the same
+    # window, scaled by 12 to [5.88, 6.12], so 3 tp_0 + 2 tp_1 = 6.
+    systems = _capture_systems(monkeypatch)
+    res = check_mos_known_folds([Testset(2, 3), Testset(3, 2)],
+                                ScoreReport.of(acc="0.5", sens="0.5"), U(2))
+    assert not res.inconsistency
+    assert systems == [([(0, 2), (0, 3), (0, 3), (0, 2)],
+                        [([(0, 1), (1, 1), (2, 1), (3, 1)], 5, 5),
+                         ([(0, 3), (2, 2)], 6, 6)])]
+
+
+def test_solve_means_system_of_a_macro_fold(monkeypatch):
+    # One fold with class counts (1, 2, 3): variables tp_0..tp_2 then
+    # fp_0..fp_2, the balance row, one margin row per class, and the
+    # macro-bacc row. Class i is one-vs-rest with p = c_i, n = 6 - c_i, and
+    # bacc = tp/(2p) - fp/(2n) + 1/2, so the mean over the classes is
+    # tp_0/6 + tp_1/12 + tp_2/18 - fp_0/30 - fp_1/24 - fp_2/18 + 1/2;
+    # scaled by 360, the window [74/100, 76/100] less the constant 180 is
+    # [86.4, 93.6], so [87, 93].
+    systems = _capture_systems(monkeypatch)
+    res = check_multiclass_macro(MulticlassTestset((1, 2, 3)),
+                                 ScoreReport.of(**{"macro-bacc": "0.75"}),
+                                 U(2))
+    assert not res.inconsistency
+    assert systems == [(
+        [(0, 1), (0, 2), (0, 3), (0, 5), (0, 4), (0, 3)],
+        [([(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)], 6, 6),
+         ([(1, 1), (2, 1), (3, 1)], None, 5),
+         ([(0, 1), (2, 1), (4, 1)], None, 4),
+         ([(0, 1), (1, 1), (5, 1)], None, 3),
+         ([(0, 60), (1, 30), (2, 20), (3, -12), (4, -15), (5, -20)],
+          87, 93)])]
 
 # ------------------------------------------------- unknown fold sizes (OR)
 

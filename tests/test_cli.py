@@ -2,6 +2,7 @@
 list subcommands, and schema validity of emitted verdicts."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -83,6 +84,51 @@ def test_malformed_json_exits_two(tmp_path, files, capsys):
                   "--scores", files("scores.json", TEXTBOOK_SCORES),
                   "--eps", "1e-4")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec, scores", [
+    # a number where an array belongs
+    ({"datasets": [{"testset": {"class_counts": 5}}]}, TEXTBOOK_SCORES),
+    ({"datasets": [{"testset": {"p": 5, "n": 5},
+                    "folding": {"kind": "known_folds", "folds": 5}}],
+      "fold_aggregation": "mean_of_scores"}, TEXTBOOK_SCORES),
+    # a JSON integer past the interpreter's int/str conversion limit
+    ('{"datasets": [{"testset": {"p": 1' + "0" * 5000 + ', "n": 5}}]}',
+     TEXTBOOK_SCORES),
+    (TEXTBOOK_SPEC, '{"acc": 1' + "0" * 5000 + '}'),
+    # text that is not UTF-8, and arrays nested past the recursion limit
+    (b"\xff{}", TEXTBOOK_SCORES),
+    ("[" * 100_000, TEXTBOOK_SCORES),
+], ids=["class_counts", "folds", "long_int_spec", "long_int_scores",
+        "not_utf8", "deep_nesting"])
+def test_malformed_payload_exits_two(tmp_path, files, capsys, spec, scores):
+    def path(name, payload):
+        if isinstance(payload, dict):
+            return files(name, payload)
+        target = tmp_path / name
+        target.write_bytes(payload if isinstance(payload, bytes)
+                           else payload.encode())
+        return str(target)
+
+    code = main(["check", "--spec", path("spec.json", spec),
+                 "--scores", path("scores.json", scores), "--eps", "1e-4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("scoresleuth: error: ")
+
+
+@pytest.mark.parametrize("scores, eps", [
+    ({"acc": "1e-999999999"}, ["--infer-eps"]),
+    ({"acc": "1e-999999999"}, ["--eps", "1e-4"]),
+    (TEXTBOOK_SCORES, ["--eps", "1e-999999999"]),
+], ids=["score_infer_eps", "score", "eps"])
+def test_extreme_exponent_exits_two_at_once(files, capsys, scores, eps):
+    start = time.perf_counter()
+    code = main(["check", "--spec", files("spec.json", TEXTBOOK_SPEC),
+                 "--scores", files("scores.json", scores), *eps])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "power of ten" in capsys.readouterr().err
 
 
 def test_unknown_bundle_exits_two(files, capsys):

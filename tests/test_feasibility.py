@@ -1,11 +1,13 @@
 """Branch-and-bound feasibility against brute force and against the
-sweep kernel it replaced.
+sweep kernel it replaced, and `integer_row` against the rational rows it
+rewrites.
 
 The brute-force test uses tiny random systems: 2-4 integer variables with
 domains of at most 5 values and 1-3 affine constraints with rational
-coefficients, over closed, half-open and point windows. Every assignment is
-enumerated, so `solve` and `propagate` are compared with the exact set of
-solutions.
+coefficients, over closed, half-open and point windows, handed to the
+kernel as `integer_row` writes them. Every assignment is enumerated, so
+`solve` and `propagate` are compared with the exact set of solutions of
+the rational system.
 
 The reference test keeps the earlier kernel (sweep every constraint to a
 fixpoint, recursive search) and asks the event-driven kernel for identical
@@ -14,19 +16,14 @@ the mean-of-scores and macro-average systems the library builds.
 """
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from scoresleuth.feasibility import (
-    AffineConstraint,
-    _narrow,
-    _scale,
-    propagate,
-    solve,
-)
+from scoresleuth.feasibility import _narrow, integer_row, propagate, solve
 from scoresleuth.intervals import EMPTY, RationalInterval
 from scoresleuth.multiclass import _matrix_rows
 
@@ -34,11 +31,17 @@ F = Fraction
 
 
 def _satisfies(assignment, constraints):
-    for con in constraints:
-        total = con.constant + sum(c * x for c, x in zip(con.coeffs, assignment))
-        if not con.bounds.contains(total):
+    """Does every rational (coeffs, constant, bounds) constraint hold?"""
+    for coeffs, constant, bounds in constraints:
+        total = constant + sum(c * x for c, x in zip(coeffs, assignment))
+        if not bounds.contains(total):
             return False
     return True
+
+
+def _integer_rows(constraints):
+    return [integer_row(dict(enumerate(coeffs)), constant, bounds)
+            for coeffs, constant, bounds in constraints]
 
 
 def _random_system(rng):
@@ -67,7 +70,7 @@ def _random_system(rng):
             bounds = RationalInterval.point(lo)
         else:
             bounds = RationalInterval.closed(lo, lo + F(rng.randint(0, 3), 4))
-        constraints.append(AffineConstraint(coeffs, constant, bounds))
+        constraints.append((coeffs, constant, bounds))
     return domains, constraints
 
 
@@ -83,12 +86,13 @@ def test_solve_and_propagate_match_brute_force():
     for _ in range(1500):
         domains, constraints = _random_system(rng)
         solutions = _solutions(domains, constraints)
-        found = solve(domains, constraints)
+        rows = _integer_rows(constraints)
+        found = solve(domains, rows)
         assert (found is None) == (not solutions), (domains, constraints)
         if found is not None:
             feasible += 1
             assert tuple(found) in solutions
-        shrunk = propagate(domains, constraints)
+        shrunk = propagate(domains, rows)
         if shrunk is None:
             assert not solutions, (domains, constraints)
             continue
@@ -103,14 +107,50 @@ def test_solve_and_propagate_match_brute_force():
 
 
 def test_empty_domain_is_infeasible():
-    con = AffineConstraint((F(1),), F(0), RationalInterval.unbounded())
-    assert propagate([(2, 1)], [con]) is None
-    assert solve([(2, 1)], [con]) is None
+    row = integer_row({0: F(1)}, F(0), RationalInterval.unbounded())
+    assert propagate([(2, 1)], [row]) is None
+    assert solve([(2, 1)], [row]) is None
 
 
 def test_constraint_rejects_empty_bounds():
     with pytest.raises(ValueError):
-        AffineConstraint((F(1), F(1)), F(0), EMPTY)
+        integer_row({0: F(1), 1: F(1)}, F(0), EMPTY)
+
+
+def test_integer_row_holds_exactly_where_the_rational_row_holds():
+    """Random sparse rational rows (some coefficients zero) over closed,
+    half-open and point windows: at every integer point of a small box
+    the integer row holds iff the rational one does, its terms are sorted
+    by variable and carry nonzero integer coefficients, and the scale is
+    the lcm of the coefficient denominators, with no gcd reduction."""
+    rng = random.Random(16)
+    held = missed = 0
+    for _ in range(400):
+        variables = sorted(rng.sample(range(6), rng.randint(1, 3)))
+        coeffs = {v: F(rng.randint(-4, 4), rng.randint(1, 6))
+                  for v in rng.sample(variables, len(variables))}
+        constant = F(rng.randint(-6, 6), rng.randint(1, 4))
+        at = constant + sum(c * rng.randint(-3, 3) for c in coeffs.values())
+        bounds = _window(rng, at)
+        terms, lo, hi = integer_row(coeffs, constant, bounds)
+        nonzero = sorted(v for v, c in coeffs.items() if c)
+        assert [v for v, _ in terms] == nonzero
+        assert all(type(c) is int and c for _, c in terms)
+        scale = math.lcm(*(coeffs[v].denominator for v in nonzero))
+        assert all(c == coeffs[v] * scale for v, c in terms)
+        assert (lo, hi) == tuple(
+            None if end is None else rnd(end * scale - constant * scale)
+            for end, rnd in ((bounds.lo, math.ceil), (bounds.hi, math.floor)))
+        for point in itertools.product(range(-3, 4), repeat=len(variables)):
+            x = dict(zip(variables, point))
+            value = sum(c * x[v] for v, c in terms)
+            holds = (lo is None or lo <= value) and (hi is None or value <= hi)
+            exact = bounds.contains(
+                constant + sum(c * x[v] for v, c in coeffs.items()))
+            assert holds == exact, (coeffs, constant, bounds, x)
+            held += holds
+            missed += not holds
+    assert held > 1000 and missed > 1000, (held, missed)
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -119,8 +159,9 @@ def test_search_deeper_than_the_recursion_limit():
     # search goes n - m levels deep before the rest are forced to 1.
     m = 100
     n = sys.getrecursionlimit() + 2 * m
-    con = AffineConstraint((F(1),) * n, F(0), RationalInterval.point(m))
-    assert solve([(0, 1)] * n, [con]) == [0] * (n - m) + [1] * m
+    row = integer_row(dict.fromkeys(range(n), F(1)), F(0),
+                      RationalInterval.point(m))
+    assert solve([(0, 1)] * n, [row]) == [0] * (n - m) + [1] * m
 
 
 class _CountingDomains(list):
@@ -137,17 +178,16 @@ def test_slack_skip_includes_equality():
     # x + 2y = 2 over x in [0, 2], y in [0, 1]: both terms are exactly as
     # wide as both slacks, so no bound can move and the constraint is
     # decided from its sums alone, one read per term.
-    scaled = _scale([AffineConstraint((F(1), F(2)), F(0),
-                                      RationalInterval.point(2))])
+    rows = [integer_row({0: F(1), 1: F(2)}, F(0), RationalInterval.point(2))]
     doms = _CountingDomains([(0, 2), (0, 1)])
-    assert _narrow(doms, scaled, [[0], [0]], [0], [])
+    assert _narrow(doms, rows, [[0], [0]], [0], [])
     assert doms == [(0, 2), (0, 1)]
     assert doms.reads == 2
 
 
 # ------------------------------------------------- the sweep kernel replaced
 
-def _reference_propagate(domains, scaled):
+def _reference_propagate(domains, rows):
     """The sweep kernel: every constraint, in order, until a clean pass."""
     doms = [(lo, hi) for lo, hi in domains]
     for lo, hi in doms:
@@ -156,7 +196,7 @@ def _reference_propagate(domains, scaled):
     changed = True
     while changed:
         changed = False
-        for terms, blo, bhi in scaled:
+        for terms, blo, bhi in rows:
             lo_sum = hi_sum = 0
             contrib = []
             for i, c in terms:
@@ -190,10 +230,10 @@ def _reference_propagate(domains, scaled):
     return doms
 
 
-def _reference_solve(domains, scaled):
+def _reference_solve(domains, rows):
     """Recursive search: widest domain, lowest index on ties, lower half
     first."""
-    doms = _reference_propagate(domains, scaled)
+    doms = _reference_propagate(domains, rows)
     if doms is None:
         return None
     widest = max(range(len(doms)), key=lambda i: doms[i][1] - doms[i][0],
@@ -205,7 +245,7 @@ def _reference_solve(domains, scaled):
     for half in ((lo, mid), (mid + 1, hi)):
         trial = list(doms)
         trial[widest] = half
-        found = _reference_solve(trial, scaled)
+        found = _reference_solve(trial, rows)
         if found is not None:
             return found
     return None
@@ -227,12 +267,13 @@ def _window(rng, at):
 
 
 def _score_row(rng, anchor, weights):
-    """Dense row with mixed-sign rational coefficients, placed near the
-    value at `anchor`; `weights` are the per-variable scale factors."""
-    coeffs = tuple(w * F(rng.randint(-4, 4), rng.randint(1, 9)) for w in weights)
+    """Integer form of a dense row with mixed-sign rational coefficients,
+    placed near the value at `anchor`; `weights` are the per-variable
+    scale factors."""
+    coeffs = [w * F(rng.randint(-4, 4), rng.randint(1, 9)) for w in weights]
     constant = F(rng.randint(-3, 3), rng.randint(1, 5))
     at = constant + sum(c * x for c, x in zip(coeffs, anchor))
-    return AffineConstraint(coeffs, constant, _window(rng, at))
+    return integer_row(dict(enumerate(coeffs)), constant, _window(rng, at))
 
 
 def _mos_like_system(rng):
@@ -251,15 +292,18 @@ def _mos_like_system(rng):
 
 def _macro_like_system(rng):
     """Per-class (tp_i, fp_i) of one fold with C = 3-4 classes or of two
-    folds with C = 3, in the order `multiclass._solve_macro` solves them
-    (per fold, the C tp counts and then the C fp counts), with the
-    balance and margin rows of `multiclass._matrix_rows` and dense score
-    rows. The anchor comes from a random confusion matrix, so it satisfies
-    the balance and margin rows."""
+    folds with C = 3, in the order `aggregate.solve_means` lays out a
+    macro mean (per fold, the C tp counts and then the C fp counts), with
+    the balance and margin rows of `multiclass._matrix_rows` and dense
+    score rows. The anchor comes from a random confusion matrix, so it
+    satisfies the balance and margin rows."""
     folds = rng.randint(1, 2)
     classes = rng.randint(3, 5 - folds)
-    fold_counts, domains, anchor = [], [], []
-    for _ in range(folds):
+    fold_counts, domains, anchor, index = [], [], [], {}
+    for j in range(folds):
+        for count in ("tp", "fp"):
+            for i in range(classes):
+                index[j, i, count] = len(index)
         counts = [rng.randint(0, 3) for _ in range(classes)]
         total = sum(counts)
         fold_counts.append(tuple(counts))
@@ -271,15 +315,16 @@ def _macro_like_system(rng):
                 predicted[guess] += 1
                 tps[i] += guess == i
         anchor += tps + [pred - tp for tp, pred in zip(tps, predicted)]
-    constraints = _matrix_rows(fold_counts)
+    rows = [(sorted((index[key], c) for key, c in terms), lo, hi)
+            for terms, lo, hi in _matrix_rows(fold_counts)]
     weight = F(1, folds * classes)
     for _ in range(rng.randint(1, 2)):
-        constraints.append(_score_row(rng, anchor, [weight] * len(domains)))
-    return domains, constraints
+        rows.append(_score_row(rng, anchor, [weight] * len(domains)))
+    return domains, rows
 
 
-def _branches(domains, scaled):
-    doms = _reference_propagate(domains, scaled)
+def _branches(domains, rows):
+    doms = _reference_propagate(domains, rows)
     return doms is not None and any(lo < hi for lo, hi in doms)
 
 
@@ -289,14 +334,13 @@ def test_kernel_matches_the_sweep_reference(shape, count):
     rng = random.Random(shape.__name__)
     feasible = branched = 0
     for _ in range(count):
-        domains, constraints = shape(rng)
-        scaled = _scale(constraints)
-        assert propagate(domains, constraints) == \
-            _reference_propagate(domains, scaled), (domains, constraints)
-        found = solve(domains, constraints)
-        assert found == _reference_solve(domains, scaled), (domains, constraints)
+        domains, rows = shape(rng)
+        assert propagate(domains, rows) == \
+            _reference_propagate(domains, rows), (domains, rows)
+        found = solve(domains, rows)
+        assert found == _reference_solve(domains, rows), (domains, rows)
         feasible += found is not None
-        branched += _branches(domains, scaled)
+        branched += _branches(domains, rows)
     # both verdicts occur, and many systems need branching
     assert count // 10 < feasible < count * 9 // 10
     assert branched >= count // 10

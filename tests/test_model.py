@@ -1,5 +1,6 @@
 """Domain types: validation, uncertainty inference, reports, JSON payloads."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from scoresleuth.errors import (
     SpecError,
 )
 from scoresleuth.model import (
+    MAX_POWER_DIGITS,
     AggregationMode,
     ConsistencyResult,
     DatasetSpec,
@@ -142,6 +144,29 @@ def test_as_fraction():
         as_fraction("not a number")
 
 
+def test_powers_of_ten_stop_at_the_int_conversion_limit():
+    # 10**4299 has 4300 digits, CPython's default int/str conversion limit;
+    # 10**4300 has one more. The check reads the exponent's text, so even
+    # an exponent of a billion is refused at once, before Fraction would
+    # build its power of ten.
+    assert MAX_POWER_DIGITS == 4300
+    assert as_fraction("1e-4299") == F(1, 10 ** 4299)
+    assert as_fraction("2E+4_299") == 2 * 10 ** 4299
+    assert infer_radius_from_text("1e-4299") == F(1, 10 ** 4299)
+    assert infer_radius_from_text("7e4299") == 10 ** 4299
+    start = time.perf_counter()
+    for text in ("1e-4300", "1e4300", "1e-999999999", "1e-" + "9" * 5000):
+        with pytest.raises(ParseError):
+            as_fraction(text)
+        with pytest.raises(ParseError):
+            infer_radius_from_text(text)
+    assert time.perf_counter() - start < 1
+    # the radius 10**-(digits after the point - exponent) has its own limit
+    assert as_fraction("0.5e-4299") == F(5, 10 ** 4300)
+    with pytest.raises(ParseError):
+        infer_radius_from_text("0.5e-4299")
+
+
 class TestScoreReport:
     def test_values_and_texts(self):
         rep = ScoreReport({"acc": "0.8464", "sens": F(81, 100)})
@@ -186,6 +211,14 @@ def test_payload_round_trips():
 def test_experiment_payload_errors():
     with pytest.raises(ParseError):
         experiment_from_payload({"datasets": "nope"})
+    with pytest.raises(ParseError):
+        experiment_from_payload(
+            {"datasets": [{"testset": {"class_counts": 5}}]})
+    with pytest.raises(ParseError):
+        experiment_from_payload(
+            {"datasets": [{"testset": {"p": 5, "n": 5},
+                           "folding": {"kind": "known_folds", "folds": 5}}],
+             "fold_aggregation": "mean_of_scores"})
     with pytest.raises(ParseError):
         experiment_from_payload({"datasets": [{"testset": {"p": 1}}]})
     with pytest.raises(ParseError):

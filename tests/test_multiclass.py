@@ -377,11 +377,19 @@ def test_margin_characterization_is_exact():
                 assert [sum(col) for col in zip(*fill)] == list(demand)
 
 
+def _row_holds(row, value):
+    """Does an integer row over keyed counts hold at `value` (key -> int)?"""
+    terms, lo, hi = row
+    total = sum(a * value[key] for key, a in terms)
+    return (lo is None or lo <= total) and (hi is None or total <= hi)
+
+
 def test_matrix_rows_hold_iff_a_confusion_matrix_has_the_views():
     """Lemma of _matrix_rows, checked exhaustively on one fold with C <= 3
     classes of at most 3 samples: integer (tp_i, fp_i) in their domains
-    satisfy the balance and margin rows iff some confusion matrix with row
-    sums c has those one-vs-rest views, and where they hold,
+    satisfy the balance and margin rows, evaluated over their (fold,
+    class, count) keys, iff some confusion matrix with row sums c has
+    those one-vs-rest views, and where they hold,
     _fill_offdiagonal rebuilds such a matrix."""
     checked = held = 0
     for c in (2, 3):
@@ -392,19 +400,14 @@ def test_matrix_rows_hold_iff_a_confusion_matrix_has_the_views():
                                          for ci in counts)):
                 views.add(tuple((m[i][i], sum(m[r][i] for r in range(c)) - m[i][i])
                                 for i in range(c)))
-            # integer coefficients, evaluated in int arithmetic for speed
             rows = _matrix_rows([counts])
-            assert all(a.denominator == 1 for row in rows for a in row.coeffs)
-            constraints = [(tuple(map(int, row.coeffs)), row.constant,
-                            row.bounds) for row in rows]
             domains = [range(ci + 1) for ci in counts] + \
                       [range(total - ci + 1) for ci in counts]
             for point in itertools.product(*domains):
                 tps, fps = point[:c], point[c:]
-                holds = all(
-                    bounds.contains(constant + sum(
-                        a * v for a, v in zip(coeffs, point) if a))
-                    for coeffs, constant, bounds in constraints)
+                value = {**{(0, i, "tp"): tp for i, tp in enumerate(tps)},
+                         **{(0, i, "fp"): fp for i, fp in enumerate(fps)}}
+                holds = all(_row_holds(row, value) for row in rows)
                 assert holds == (tuple(zip(tps, fps)) in views), \
                     (counts, tps, fps)
                 checked += 1
@@ -419,6 +422,7 @@ def test_matrix_rows_hold_iff_a_confusion_matrix_has_the_views():
                                sum(col) - tps[i] == fps[i]
                                for i, col in enumerate(zip(*matrix)))
     assert held and checked > held
+
 
 
 # ------------------------------------------------------- folded multiclass
