@@ -50,21 +50,36 @@ def _vectors_desc(totals: tuple[int, ...], cap_vec: tuple[int, ...],
                   budget: int) -> Iterator[tuple[int, ...]]:
     """Nonzero vectors v with 0 <= v <= totals componentwise, sum(v) <=
     budget and v <= cap_vec lexicographically, in decreasing lexicographic
-    order; none over the budget is generated."""
+    order; none over the budget is generated.
+
+    A depth-first loop over an explicit stack of per-component value
+    ranges, each counting down; a component's top is its total, cut to
+    cap_vec's component while the prefix equals cap_vec's, and to what the
+    budget leaves after the prefix. No recursive closure is made, so a
+    call leaves no reference cycle for the cyclic collector."""
     m = len(totals)
-
-    def rec(i: int, prefix: list[int], tight: bool) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        top = min(totals[i], cap_vec[i]) if tight else totals[i]
-        for x in range(min(top, budget - sum(prefix)), -1, -1):
-            prefix.append(x)
-            yield from rec(i + 1, prefix, tight and x == cap_vec[i])
-            prefix.pop()
-
-    return rec(0, [], True)
+    prefix: list[int] = []
+    # one entry per open component: its remaining values, and whether the
+    # prefix before it equals cap_vec's
+    stack = [(iter(range(min(totals[0], cap_vec[0], budget), -1, -1)), True)]
+    while stack:
+        values, tight = stack[-1]
+        x = next(values, None)
+        if x is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        i = len(stack) - 1
+        if i == m - 1:
+            if x or any(prefix):
+                yield (*prefix, x)
+            continue
+        prefix.append(x)
+        tight = tight and x == cap_vec[i]
+        top = min(totals[i + 1], cap_vec[i + 1]) if tight else totals[i + 1]
+        stack.append((iter(range(min(top, budget - sum(prefix)), -1, -1)),
+                      tight))
 
 
 def iter_fold_configurations(totals: Sequence[int], k: int

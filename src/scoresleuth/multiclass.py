@@ -10,8 +10,10 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
 
       TP = t,  FN = N - t,  FP = N - t,  TN = N*(C-1) - (N - t)
 
-  with pooled totals p = N and n = N*(C-1), so checking a micro report is a
-  walk over t in [0, N] — exact for every score in the registry.
+  with pooled totals p = N and n = N*(C-1). Both pooled tp and tn rise
+  with t, so each score is monotone in t and its feasible traces form one
+  run: checking a micro report is a binary search over t in [0, N]
+  (check_multiclass_micro), exact for every score in the registry.
 
 * ``macro-<id>``: the base score is averaged over the C one-vs-rest views
   (tp_i = m[i][i], fp_i = sum of column i off the diagonal, tn_i by
@@ -30,6 +32,9 @@ leaves, a micro fold mean an integer row over the k traces. Micro fold
 means need the micro score's values at a fold's integer traces to lie on
 one line with rational slope; micro_affine decides that exactly from the
 values at t = 0 and t = 1 and an integer comparison at every other trace.
+Folds of equal size share that line, so they enter a fold mean only
+through their summed trace and are solved as one variable
+(_micro_mean_system).
 On folds of two or more samples it holds for every registry score except
 jac, plr, nlr and gm (for C > 2); on a single-sample fold the two traces
 always lie on a line.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -59,8 +65,9 @@ from .model import (
     Uncertainty,
     validate_experiment,
 )
-from .scores import (ScoreDefinition, ScoreRegistry, default_registry,
-                     require_linear, target_ends)
+from .scores import (ScoreDefinition, ScoreRegistry, _first_true,
+                     _last_true, default_registry, require_linear,
+                     target_ends)
 
 # Nothing here calls it, but perfbench/tracing.py patches it in this
 # module's namespace, so the name stays bound.
@@ -71,7 +78,7 @@ MACRO_PREFIX = "macro-"
 
 PROCEDURES = {
     "multiclass_micro": "micro-averaged scores on one multiclass testset; "
-                        "enumerates the pooled trace",
+                        "binary search over the pooled trace",
     "multiclass_macro": "macro-averaged scores on one multiclass testset; "
                         "integer feasibility over the confusion matrix",
     "multiclass_micro_mos": "fold means of micro-averaged scores",
@@ -168,14 +175,77 @@ def _entries(scores: ScoreReport, registry: ScoreRegistry, family: str):
 # ---------------------------------------------------------------------------
 
 
+def _trace_direction(rid: str, definition: ScoreDefinition) -> int:
+    """The direction (1 nondecreasing, -1 nonincreasing, 0 constant) of a
+    micro score along the trace, where the pooled tp and tn both rise:
+    the declared directions in tp and tn, when they agree or one is 0.
+    Directions that conflict leave the score's course along the trace
+    unknown, so the score is refused."""
+    if definition.mono_tp * definition.mono_tn < 0:
+        raise UnsupportedExperiment(
+            f"score {rid!r} rises in one of tp and tn and falls in the other, "
+            f"so its micro average is not monotone along the trace")
+    return definition.mono_tp or definition.mono_tn
+
+
+def _interior_run(ends, directions, total: int, num_classes: int):
+    """The traces in [1, total - 1] at which every score lies in its
+    target, as (first, last); None when there is none.
+
+    There the pooled tp = t and tn = total*(C-2) + t are interior counts,
+    so each score is defined and monotone in t (_trace_direction). A
+    nondecreasing score reaches its target's lower end from some trace on
+    and stays under its upper end up to some trace, so its feasible traces
+    are the run between the first of the one and the last of the other,
+    found by _first_true and _last_true on compare() at the target's ends
+    (a nonincreasing score swaps the ends, a constant one is taken as
+    nondecreasing). The runs of all scores intersect in one run, each
+    search confined to the run left by the scores before it."""
+    lo, hi = 1, total - 1
+    for (definition, (low, high)), direction in zip(ends, directions):
+        if lo > hi:
+            return None
+
+        def sign(t, end):
+            return definition.compare(*_pooled_args(t, total, num_classes),
+                                      *end)
+
+        def reaches_low(t):
+            return low is None or sign(t, low) >= 0
+
+        def under_high(t):
+            return high is None or sign(t, high) <= 0
+
+        rising, falling = ((reaches_low, under_high) if direction >= 0
+                           else (under_high, reaches_low))
+        first = _first_true(lo, hi, rising)
+        last = None if first is None else _last_true(first, hi, falling)
+        if last is None:
+            return None
+        lo, hi = first, last
+    return lo, hi
+
+
 def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
                            uncertainty: Uncertainty,
                            registry: Optional[ScoreRegistry] = None
                            ) -> ConsistencyResult:
     """Could any confusion matrix make every reported micro average land in
-    its target interval? Decided exactly by enumerating the pooled trace."""
+    its target interval? Decided exactly by a search over the pooled trace.
+
+    The witness is the least trace t in [0, N] at which every score lies
+    in its target, the first hit of a walk over t = 0..N. The search finds
+    it in O(k log N) compare() calls for k scores: trace 0 and trace N are
+    tested directly with within(), as a score may be undefined there, and
+    the interior [1, N-1] holds the passing traces as one run
+    (_interior_run). Every trace of that run passes, so the least passing
+    trace is 0 if it passes, else the run's first trace if the run is
+    nonempty, else N if it passes; the walk finds exactly that one.
+    """
     registry = registry or default_registry()
     entries = _entries(scores, registry, "micro")
+    directions = [_trace_direction(rid, definition)
+                  for rid, definition in entries]
     targets, violation = compute_targets(scores, uncertainty, dict(entries))
     procedure = "multiclass_micro"
     if violation is not None:
@@ -183,14 +253,25 @@ def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
     ends = [(definition, target_ends(targets[rid]))
             for rid, definition in entries]
     total, num_classes = testset.size, testset.num_classes
-    for trace in range(total + 1):
+
+    def passes(trace):
         args = _pooled_args(trace, total, num_classes)
-        if all(definition.within(target, *args)
-               for definition, target in ends):
-            return ConsistencyResult(
-                False, procedure,
-                witness={"trace": trace,
-                         "pooled": micro_counts(trace, total, num_classes)})
+        return all(definition.within(target, *args)
+                   for definition, target in ends)
+
+    if passes(0):
+        trace = 0
+    else:
+        run = _interior_run(ends, directions, total, num_classes)
+        if run is not None:
+            trace = run[0]
+        else:
+            trace = total if passes(total) else None
+    if trace is not None:
+        return ConsistencyResult(
+            False, procedure,
+            witness={"trace": trace,
+                     "pooled": micro_counts(trace, total, num_classes)})
     return ConsistencyResult(True, procedure, evidence={
         "reason": "no pooled one-vs-rest outcome reproduces every reported "
                   "micro average",
@@ -331,18 +412,28 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
 # ---------------------------------------------------------------------------
 
 
-def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
-                       entries, targets):
-    """Domains and integer rows for fold means of micro scores: one trace
-    variable per fold, each score's row written by
-    `feasibility.integer_row`. Raises NonlinearScoreUnsupported when some
-    score is not an affine function of a fold's trace."""
-    k = len(fold_totals)
-    domains = [(0, total) for total in fold_totals]
+def _micro_mean_system(groups: Counter, num_classes: int, entries, targets):
+    """Domains and integer rows for fold means of micro scores over folds
+    with m = groups[total] folds of each total: one variable per distinct
+    total, the summed trace of its folds, with domain [0, m*total]. Each
+    score's row is written by `feasibility.integer_row`. Raises
+    NonlinearScoreUnsupported when some score is not an affine function of
+    a fold's trace.
+
+    Lemma (pooled folds): the folds of one total share one line a*t + b
+    (micro_affine), so over k folds they add a/k times their summed trace
+    plus m*b/k to every row, and enter it only through that sum. Every
+    integer sum in [0, m*total] splits into m traces in [0, total] (fill
+    the folds in turn), so the system has a solution iff per-fold traces
+    satisfying every fold-mean row exist, and the split of a solution's
+    sums is such a set of traces.
+    """
+    k = sum(groups.values())
+    domains = [(0, m * total) for total, m in groups.items()]
     rows = []
     for rid, definition in entries:
         coeffs, constant = {}, Fraction(0)
-        for j, total in enumerate(fold_totals):
+        for j, (total, m) in enumerate(groups.items()):
             ab = micro_affine(definition, total, num_classes)
             if ab is None:
                 raise NonlinearScoreUnsupported(
@@ -351,7 +442,7 @@ def _micro_mean_system(fold_totals: Sequence[int], num_classes: int,
                     f"its fold mean does not yield a linear constraint")
             a, b = ab
             coeffs[j] = a / k
-            constant += b / k
+            constant += m * b / k
         rows.append(integer_row(coeffs, constant, targets[rid]))
     return domains, rows
 
@@ -419,13 +510,20 @@ def check_multiclass_dataset(testset: MulticlassTestset,
         fold_totals = [sum(v) for v in layout]
         sizes = tuple(sorted(fold_totals))
         if sizes not in infeasible_sizes:
+            groups = Counter(fold_totals)
             assignment = solve(*_micro_mean_system(
-                fold_totals, num_classes, entries, targets))
+                groups, num_classes, entries, targets))
             if assignment is not None:
-                return SolveOutcome([
-                    {"total": total, "trace": trace,
-                     "pooled": micro_counts(trace, total, num_classes)}
-                    for trace, total in zip(assignment, fold_totals)])
+                # each total's summed trace, split over its folds in turn
+                left = dict(zip(groups, assignment))
+                folds = []
+                for total in fold_totals:
+                    trace = min(total, left[total])
+                    left[total] -= trace
+                    folds.append({"total": total, "trace": trace,
+                                  "pooled": micro_counts(trace, total,
+                                                         num_classes)})
+                return SolveOutcome(folds)
             infeasible_sizes[sizes] = SolveOutcome(evidence={
                 "reason": "no per-fold traces satisfy every fold-mean "
                           "constraint"})

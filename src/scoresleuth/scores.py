@@ -47,8 +47,8 @@ gives the exact sign of score - c for a rational threshold c from the
 compiled formula's integer output (cross-multiplication, and sign
 analysis then squares for the square-root kinds), and within() tests
 membership in a target with it; inversion corners, the pointwise
-verification of binary.py, the multiclass micro scan and its line check
-for fold means all use it at int counts. value() builds the Fraction or
+verification of binary.py, the multiclass micro trace search and its
+line check for fold means all use it at int counts. value() builds the Fraction or
 SqrtRational where a score is needed as a number: the micro line's two
 ends, evaluate(), the brute-force oracles and checkers that recompute a
 witness.

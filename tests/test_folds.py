@@ -1,6 +1,7 @@
 """Fold layouts: the stratified rule, unknown-configuration enumeration
 with its cap, and the OR over layouts."""
 
+import gc
 import itertools
 
 import pytest
@@ -162,6 +163,18 @@ class TestConfigurations:
             examined[0] = 0
             assert len(list(iter_fold_configurations((p, n), p + n))) == 1
             assert examined[0] <= 2 * (p + n), (p, n, examined[0])
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        """Enumerating every layout creates no reference cycle, so nothing
+        waits for the cyclic collector and memory does not depend on when
+        it runs."""
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(iter_fold_configurations((5, 4, 3), 3))) > 100
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cap(self):
         with pytest.raises(TooManyConfigurations) as exc:

@@ -21,7 +21,7 @@ from scoresleuth.errors import (
     TooManyConfigurations,
     UnsupportedExperiment,
 )
-from scoresleuth.folds import iter_fold_configurations
+from scoresleuth.folds import iter_fold_configurations, stratified_split_counts
 from scoresleuth.model import (
     AggregationMode,
     DatasetSpec,
@@ -47,7 +47,8 @@ from scoresleuth.multiclass import (
 )
 from scoresleuth.oracle import (_compositions, brute_force_macro,
                                 generate_true_report)
-from scoresleuth.scores import ScoreDefinition, default_registry
+from scoresleuth.intervals import RationalInterval
+from scoresleuth.scores import ScoreDefinition, ScoreRegistry, default_registry
 from scoresleuth.values import SqrtRational
 
 F = Fraction
@@ -137,25 +138,45 @@ def _first_micro_trace(registry, targets, total, num_classes):
     return None
 
 
-def test_micro_scan_matches_value_reference():
-    """The micro scan, which tests membership on integer counts, finds the
-    same first trace as micro_value() plus exact interval membership, on
-    random reports over all 22 shipped scores."""
-    rng = random.Random(77)
-    registry = default_registry()
-    base_ids = registry.ids()
-    outcomes = set()
+def _micro_reports(rng):
+    """(class counts, {micro id: reported value}) of random reports: small
+    testsets over all 22 shipped scores, testsets of a few hundred samples,
+    and C = 2 reports of plr and nlr beside acc, where the trace search
+    meets the ends at which they are undefined (plr at t = N, nlr at
+    t = 0) and the values next to them."""
+    base_ids = default_registry().ids()
     for _ in range(300):
         c = rng.randint(2, 5)
         counts = [rng.randint(0, 9) for _ in range(c)]
+        yield counts, rng.sample(base_ids, rng.randint(1, 3)), None
+    for _ in range(40):
+        c = rng.randint(2, 5)
+        counts = [rng.randint(0, 300 // c) for _ in range(c)]
+        yield counts, rng.sample(base_ids, rng.randint(1, 3)), None
+    for _ in range(60):
+        counts = [rng.randint(0, 150), rng.randint(0, 150)]
+        total = max(sum(counts), 1)
+        ids = [rng.choice(("plr", "nlr"))] + rng.sample(["acc", "sens"], 1)
+        yield counts, ids, rng.choice((0, 1, total - 1, total))
+
+
+def test_micro_scan_matches_value_reference():
+    """The micro trace search, which tests membership on integer counts,
+    finds the same first trace as a walk over every trace with
+    micro_value() and exact interval membership."""
+    rng = random.Random(77)
+    registry = default_registry()
+    outcomes = set()
+    for counts, chosen, trace in _micro_reports(rng):
+        c = len(counts)
         if sum(counts) == 0:
             counts[0] = 1
         ts = MulticlassTestset(counts)
         total = ts.size
-        chosen = rng.sample(base_ids, rng.randint(1, 3))
         entries = {}
         for sid in chosen:
-            value = micro_value(registry.get(sid), rng.randint(0, total), total, c)
+            at = rng.randint(0, total) if trace is None else trace
+            value = micro_value(registry.get(sid), at, total, c)
             guess = float(value) if value is not None else rng.random()
             entries[f"micro-{sid}"] = f"{guess + rng.choice((0, 0.01, -0.02)):.2f}"
         scores = ScoreReport.of(**entries)
@@ -173,6 +194,45 @@ def test_micro_scan_matches_value_reference():
             assert not res.inconsistency and res.witness["trace"] == expected, (
                 counts, entries)
     assert outcomes == {True, False}
+
+
+def test_micro_search_makes_logarithmically_many_comparisons(monkeypatch):
+    """At N = 10**6 a micro report is decided with about 2*log2(N) compare()
+    calls per score, where a walk over the trace would make hundreds of
+    thousands: micro-sens 0.8123 is the value at trace 812300."""
+    calls = []
+    compare = ScoreDefinition.compare
+
+    def counted(self, *args):
+        calls.append(args)
+        return compare(self, *args)
+
+    monkeypatch.setattr(ScoreDefinition, "compare", counted)
+    ts = MulticlassTestset((400000, 350000, 250000))
+    consistent = check_multiclass_micro(
+        ts, ScoreReport.of(**{"micro-sens": "0.8123"}), U(4))
+    assert not consistent.inconsistency
+    assert len(calls) <= 100, len(calls)
+    calls.clear()
+    # the values at trace 812345, with acc shifted by 3 last-digit units
+    inconsistent = check_multiclass_micro(ts, ScoreReport.of(**{
+        "micro-acc": "0.8752", "micro-f1": "0.8123", "micro-mcc": "0.7185"}),
+        U(4))
+    assert inconsistent.inconsistency
+    assert len(calls) <= 100, len(calls)
+
+
+def test_micro_refuses_conflicting_directions():
+    """A score that rises in tp but falls in tn has no known course along
+    the trace, where both rise, so its micro average is refused."""
+    odd = ScoreDefinition("odd", "tp rate minus tn rate",
+                          ["-", ["/", "tp", "p"], ["/", "tn", "n"]],
+                          RationalInterval(F(-1), F(1)), 1, -1)
+    registry = ScoreRegistry([odd])
+    with pytest.raises(UnsupportedExperiment, match="'micro-odd'"):
+        check_multiclass_micro(MulticlassTestset((3, 3)),
+                               ScoreReport.of(**{"micro-odd": "0.0"}), U(2),
+                               registry)
 
 
 # -------------------------------------------- micro scores as trace affines
@@ -494,26 +554,58 @@ def macro_sens_mean_feasible(folds, value):
                for combo in itertools.product(*map(fold_values, folds)))
 
 
+def _check_micro_fold_witness(res, folds, rid, value):
+    """Every witness trace lies in [0, its fold's total], and the fold mean
+    recomputed from the traces lies within 0.01 of `value`."""
+    d = default_registry().get(split_average_prefix(rid)[1])
+    c = folds[0].num_classes
+    witness = res.witness["folds"]
+    assert [f["total"] for f in witness] == [f.size for f in folds]
+    assert all(0 <= f["trace"] <= f["total"] for f in witness)
+    mean = sum(micro_value(d, f["trace"], f["total"], c)
+               for f in witness) / len(folds)
+    assert abs(mean - F(value)) <= F(1, 100), (folds, rid, value, witness)
+
+
 def test_micro_mos_agrees_with_trace_product_oracle():
+    """Micro fold means over known folds, drawn from a few shapes so that
+    fold totals repeat and pool into one variable, and over stratified
+    folds, agree with the per-fold trace product, and every witness splits
+    back into valid per-fold traces."""
     rng = random.Random(555)
     ids = ["micro-acc", "micro-sens", "micro-f1", "micro-mcc", "micro-fm",
            "micro-kappa"]
-    for _ in range(40):
+    verdicts = set()
+    for _ in range(60):
         c = rng.randint(2, 3)
-        folds = []
-        for _ in range(rng.randint(2, 3)):
+        shapes = []
+        for _ in range(rng.randint(1, 2)):
             counts = [rng.randint(0, 2) for _ in range(c)]
             if sum(counts) == 0:
                 counts[rng.randrange(c)] = 1
-            folds.append(MulticlassTestset(counts))
+            shapes.append(counts)
+        folds = [MulticlassTestset(rng.choice(shapes))
+                 for _ in range(rng.randint(2, 4))]
         totals = [sum(x) for x in zip(*(f.class_counts for f in folds))]
         ts = MulticlassTestset(totals)
+        # a stratified split leaves no fold empty iff k <= the largest class
+        k = min(rng.randint(2, 4), max(totals))
+        schemes = [(FoldingScheme.known(folds), folds)]
+        if k >= 2:
+            schemes.append((FoldingScheme.stratified(k), [
+                MulticlassTestset(v)
+                for v in stratified_split_counts(totals, k)]))
         rid = rng.choice(ids)
         value = f"0.{rng.randint(0, 99):02d}"
-        res = check_multiclass_dataset(ts, FoldingScheme.known(folds), MOS,
-                                       ScoreReport.of(**{rid: value}), U(2))
-        feasible = micro_mean_feasible(folds, rid, value)
-        assert res.inconsistency == (not feasible), (folds, rid, value)
+        for scheme, layout in schemes:
+            res = check_multiclass_dataset(ts, scheme, MOS,
+                                           ScoreReport.of(**{rid: value}), U(2))
+            feasible = micro_mean_feasible(layout, rid, value)
+            assert res.inconsistency == (not feasible), (layout, rid, value)
+            verdicts.add(res.inconsistency)
+            if feasible:
+                _check_micro_fold_witness(res, layout, rid, value)
+    assert verdicts == {True, False}
 
 
 def test_single_sample_folds_decide_micro_jac_means():

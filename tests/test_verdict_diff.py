@@ -53,6 +53,24 @@ def test_main_exits_1_only_on_a_flip(tmp_path, capsys):
     assert "FLIP inconsistent -> consistent: m/1/000" in capsys.readouterr().out
 
 
+def test_main_prints_each_changed_count_with_its_stratum_size(tmp_path,
+                                                               capsys):
+    old = {key: _record(f"m/1/00{i}", "consistent",
+                        {"inconsistency": False, "witness": {"trace": i}})
+           for i, key in enumerate("abc")}
+    old["d"] = _record("m/1/003", "consistent", {"inconsistency": False},
+                       stratum="micro_plain")
+    new = json.loads(json.dumps(old))
+    new["a"]["response"]["witness"] = {"trace": 9}
+    paths = []
+    for name, dump in [("old", old), ("new", new)]:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump))
+    assert verdict_diff.main(["compare", *map(str, paths)]) == 0
+    assert "changed witness: multiclass/macro_plain: 1 of 3\n" in \
+        capsys.readouterr().out
+
+
 def test_request_keys_pair_equal_texts_only():
     assert verdict_diff.request_key("{}") == verdict_diff.request_key("{}")
     assert verdict_diff.request_key("{}") != verdict_diff.request_key("{ }")

@@ -15,7 +15,8 @@ by request whatever the order of the lists (requests with the same text
 share one entry).
 
 `compare` counts, by workload, stratum and top-level response field, the
-requests whose responses differ, and lists each flip between the
+requests whose responses differ, out of the requests of that stratum
+paired in both dumps, and lists each flip between the
 consistent and the inconsistent verdict. It exits 1 when there is a flip
 and 0 otherwise: a changed witness or evidence is printed, not failed, as
 a new search order may find another witness. A request that is decided
@@ -106,11 +107,14 @@ def main(argv=None) -> int:
     with open(args.new, encoding="utf-8") as fh:
         new = json.load(fh)
     flips, statuses, fields = compare(old, new)
-    paired = len(old.keys() & new.keys())
-    print(f"{paired} requests paired; {len(old) - paired} only in {args.old}, "
-          f"{len(new) - paired} only in {args.new}")
+    paired = old.keys() & new.keys()
+    per_stratum = Counter((old[key]["workload"], old[key]["stratum"])
+                          for key in paired)
+    print(f"{len(paired)} requests paired; {len(old) - len(paired)} only in "
+          f"{args.old}, {len(new) - len(paired)} only in {args.new}")
     for (workload, stratum, field), count in sorted(fields.items()):
-        print(f"changed {field}: {workload}/{stratum}: {count}")
+        print(f"changed {field}: {workload}/{stratum}: {count} of "
+              f"{per_stratum[workload, stratum]}")
     for a, b in statuses:
         print(f"status {a['status']} -> {b['status']}: {a['id']} -> {b['id']}")
     for a, b in flips:
