@@ -1,12 +1,20 @@
 """Regression reports: mae, mse, rmse and r2 are not free to disagree.
 
-No counting argument exists for real-valued predictions, but exact
-identities still tie the four common regression scores together:
+No counting argument exists for real-valued predictions, but the four
+common regression scores still pin down one window on (mae, mse): rmse
+squares to mse, and r2 = 1 - mse / Var(targets) (population variance).
+N real residuals reach exactly the pairs with
 
-  range        mae, mse, rmse >= 0 and r2 <= 1
-  power_mean   mae^2 <= mse for any error vector
-  rmse_mse     rmse^2 == mse
-  r2_identity  r2 == 1 - mse / Var(targets)   (population variance)
+  mae^2 <= mse <= N * mae^2
+
+(the equal vector and the one-entry vector are the two ends), so the
+checker names the first relation that fails:
+
+  range         mae, mse, rmse >= 0 and r2 <= 1
+  rmse_mse      rmse^2 == mse
+  r2_identity   r2 == 1 - mse / Var(targets)
+  power_mean    mae^2 <= mse
+  sample_bound  mse <= N * mae^2, with N = n_samples when it is known
 
 A report violating any of them cannot have come from real predictions,
 whatever the model did.
@@ -44,6 +52,14 @@ show("mae=0, mse=0, r2=1, Var=4:",
 # root of the mean squared error, so mae=2 with mse=1 is impossible.
 show("mae=2.0 with mse=1.0:", RegressionContext(),
      dict(mae="2.0", mse="1.0"))
+
+# With N residuals, mse can be at most N * mae^2 (all the error in one
+# sample). At N = 10, mae=0.10 allows mse up to 10 * 0.1001^2 ~ 0.1002,
+# so mse=0.50 is impossible; with N unknown, a large enough N reaches it.
+show("mae=0.10 with mse=0.50, N=10:", RegressionContext(n_samples=10),
+     dict(mae="0.10", mse="0.50"))
+show("mae=0.10 with mse=0.50, N unknown:", RegressionContext(),
+     dict(mae="0.10", mse="0.50"))
 
 # rmse must square to mse within the two intervals.
 show("rmse=2.0 with mse=1.0:", RegressionContext(),

@@ -12,7 +12,7 @@ The usual entry points:
     check_single_testset   one binary testset
     check_experiment       any supported experiment tree (folds, datasets,
                            multiclass micro/macro averaging)
-    check_regression       mae/mse/rmse/r2 relation checks
+    check_regression       mae/mse/rmse/r2 as one (mae, mse) window
     check_bundle           a packaged dataset's predefined spec
     brute_force_single     shipped oracles for auditing small verdicts
     generate_true_report   sampler for reports that are true by construction

@@ -211,35 +211,30 @@ def check_experiment(spec: ExperimentSpec, scores: ScoreReport,
                                         spec.fold_aggregation, scores,
                                         uncertainty, registry, cap=cap)
 
-    if len(spec.datasets) == 1:
-        ds = spec.datasets[0]
-        if not ds.folding.is_folded:
-            return check_single_testset(ds.testset, scores, uncertainty, registry)
-        if spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES:
-            return _check_mos_folds(ds.testset, ds.folding, scores,
-                                    uncertainty, registry, cap)
-        # Pooling reproduces the dataset totals whatever the fold split
-        # (validate_experiment has proved that known folds sum to them), so
-        # even unknown folds reduce to one single-testset decision.
-        result = check_single_testset(ds.testset, scores, uncertainty, registry)
-        return replace(result, procedure="som_pooled", evidence={
-            **result.evidence,
-            "pooled": {"p": ds.testset.p, "n": ds.testset.n}})
-
-    # several datasets
-    if spec.dataset_aggregation is AggregationMode.SCORE_OF_MEANS:
-        if spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES:
+    datasets = spec.datasets
+    several = len(datasets) > 1
+    if several and spec.dataset_aggregation is AggregationMode.MEAN_OF_SCORES:
+        return _check_mos_datasets(spec, scores, uncertainty, registry, cap)
+    if spec.fold_aggregation is AggregationMode.MEAN_OF_SCORES:
+        if several:
             raise UnsupportedExperiment(
                 "dataset-level score-of-means over fold-level mean-of-scores "
                 "is refused: per-dataset fold means are score values, and "
                 "there are no counts left to pool across datasets")
-        # Fold-level SoM (or no folding) pools to the dataset totals.
-        pooled = reduce_som([ds.testset for ds in spec.datasets])
-        result = check_single_testset(pooled, scores, uncertainty, registry)
-        return replace(result, procedure="som_pooled", evidence={
-            **result.evidence, "pooled": {"p": pooled.p, "n": pooled.n},
-            "datasets_pooled": len(spec.datasets)})
-    return _check_mos_datasets(spec, scores, uncertainty, registry, cap)
+        return _check_mos_folds(datasets[0].testset, datasets[0].folding,
+                                scores, uncertainty, registry, cap)
+    if not several and not datasets[0].folding.is_folded:
+        return check_single_testset(datasets[0].testset, scores, uncertainty,
+                                    registry)
+    # Score of means: pooling reproduces each dataset's totals whatever its
+    # fold split (known folds sum to them by construction of the spec), so
+    # folds and datasets alike reduce to one single-testset decision.
+    pooled = reduce_som([ds.testset for ds in datasets])
+    result = check_single_testset(pooled, scores, uncertainty, registry)
+    evidence = {**result.evidence, "pooled": {"p": pooled.p, "n": pooled.n}}
+    if several:
+        evidence["datasets_pooled"] = len(datasets)
+    return replace(result, procedure="som_pooled", evidence=evidence)
 
 
 def _check_mos_datasets(spec: ExperimentSpec, scores: ScoreReport,

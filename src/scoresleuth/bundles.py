@@ -24,7 +24,6 @@ from .model import (
     ScoreReport,
     Uncertainty,
     experiment_from_payload,
-    validate_experiment,
 )
 from .scores import ScoreRegistry
 
@@ -75,14 +74,12 @@ def load_bundle(bundle_id: str) -> Bundle:
         if field not in payload:
             raise ParseError(
                 f"bundle file {entry['file']} is missing {field!r}")
-    bundle = Bundle(
+    return Bundle(
         id=payload["id"],
         spec=experiment_from_payload(payload["spec"]),
         citation=payload["citation"],
         notes=payload["notes"],
     )
-    validate_experiment(bundle.spec)
-    return bundle
 
 
 def check_bundle(bundle_id: str, scores: ScoreReport,

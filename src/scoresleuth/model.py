@@ -252,7 +252,13 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full experiment description: datasets with their folding schemes,
-    plus the aggregation modes used when scores cross folds or datasets."""
+    plus the aggregation modes used when scores cross folds or datasets.
+
+    Valid by construction: known folds sum to their parent, k fits the
+    testset (and the stratified split), and each aggregation mode is set
+    iff folds or several datasets need it. Errors about one dataset start
+    with "dataset {idx}: ".
+    """
 
     datasets: tuple[DatasetSpec, ...]
     fold_aggregation: Optional[AggregationMode] = None
@@ -273,6 +279,38 @@ class ExperimentSpec:
                         f"{label} must be one of "
                         f"{[m.value for m in AggregationMode]}, "
                         f"got {v!r}") from None
+        if not self.datasets:
+            raise EmptyExperiment("an experiment needs at least one dataset")
+        for idx, ds in enumerate(self.datasets):
+            scheme, where = ds.folding, f"dataset {idx}: "
+            if not isinstance(scheme, FoldingScheme):
+                raise SpecError(f"{where}not a FoldingScheme: {scheme!r}")
+            if scheme.kind == "known_folds":
+                check_fold_totals(ds.testset, scheme.folds, where)
+            elif scheme.is_folded:
+                if scheme.k > ds.testset.size:
+                    raise InvalidFoldCount(
+                        f"{where}cannot split {ds.testset.size} samples "
+                        f"into {scheme.k} nonempty folds")
+                if scheme.kind == "stratified_kfold":
+                    try:
+                        stratified_split_counts(class_totals(ds.testset),
+                                                scheme.k)
+                    except InvalidFoldCount as exc:
+                        raise InvalidFoldCount(f"{where}{exc}") from None
+        any_folding = any(ds.folding.is_folded for ds in self.datasets)
+        if any_folding and self.fold_aggregation is None:
+            raise MissingAggregationMode(
+                "folding is present but fold_aggregation is not set")
+        if not any_folding and self.fold_aggregation is not None:
+            raise ExtraneousAggregationMode(
+                "fold_aggregation is set but no dataset is folded")
+        if len(self.datasets) > 1 and self.dataset_aggregation is None:
+            raise MissingAggregationMode(
+                "multiple datasets but dataset_aggregation is not set")
+        if len(self.datasets) == 1 and self.dataset_aggregation is not None:
+            raise ExtraneousAggregationMode(
+                "dataset_aggregation is set but there is only one dataset")
 
     @staticmethod
     def single(testset: AnyTestset,
@@ -332,48 +370,10 @@ def check_fold_totals(testset: AnyTestset, folds: Sequence[AnyTestset],
 
 
 def validate_experiment(spec: ExperimentSpec) -> ExperimentSpec:
-    """Check every invariant of an experiment description.
-
-    Returns the spec unchanged when valid; raises a SpecError subclass
-    naming the violated invariant otherwise.
-    """
+    """Return `spec` when it is an ExperimentSpec, which validates itself
+    on construction; raise SpecError otherwise."""
     if not isinstance(spec, ExperimentSpec):
         raise SpecError(f"not an ExperimentSpec: {spec!r}")
-    if len(spec.datasets) < 1:
-        raise EmptyExperiment("an experiment needs at least one dataset")
-
-    any_folding = False
-    for idx, ds in enumerate(spec.datasets):
-        scheme = ds.folding
-        if not isinstance(scheme, FoldingScheme):
-            raise SpecError(f"dataset {idx}: not a FoldingScheme: {scheme!r}")
-        any_folding = any_folding or scheme.is_folded
-        if scheme.kind == "known_folds":
-            check_fold_totals(ds.testset, scheme.folds, f"dataset {idx}: ")
-        elif scheme.kind in ("stratified_kfold", "unknown_folds_kfold"):
-            k = scheme.k
-            if k > ds.testset.size:
-                raise InvalidFoldCount(
-                    f"dataset {idx}: cannot split {ds.testset.size} samples "
-                    f"into {k} nonempty folds")
-            if scheme.kind == "stratified_kfold":
-                try:
-                    stratified_split_counts(class_totals(ds.testset), k)
-                except InvalidFoldCount as exc:
-                    raise InvalidFoldCount(f"dataset {idx}: {exc}") from None
-
-    if any_folding and spec.fold_aggregation is None:
-        raise MissingAggregationMode(
-            "folding is present but fold_aggregation is not set")
-    if not any_folding and spec.fold_aggregation is not None:
-        raise ExtraneousAggregationMode(
-            "fold_aggregation is set but no dataset is folded")
-    if len(spec.datasets) > 1 and spec.dataset_aggregation is None:
-        raise MissingAggregationMode(
-            "multiple datasets but dataset_aggregation is not set")
-    if len(spec.datasets) == 1 and spec.dataset_aggregation is not None:
-        raise ExtraneousAggregationMode(
-            "dataset_aggregation is set but there is only one dataset")
     return spec
 
 

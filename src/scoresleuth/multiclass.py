@@ -63,7 +63,6 @@ from .model import (
     MulticlassTestset,
     ScoreReport,
     Uncertainty,
-    validate_experiment,
 )
 from .scores import (ScoreDefinition, ScoreRegistry, _first_true,
                      _last_true, default_registry, require_linear,
@@ -455,16 +454,15 @@ def check_multiclass_dataset(testset: MulticlassTestset,
                              cap: Optional[int] = None) -> ConsistencyResult:
     """Decide one multiclass dataset, folded or not.
 
-    The folding and the aggregation mode are validated as check_experiment
-    validates them. Reported ids must all be micro-<id> or all macro-<id>;
-    a mix (or a bare id) is refused because the two averages constrain
-    different variables.
+    The folding and the aggregation mode are validated as one
+    ExperimentSpec of this dataset. Reported ids must all be micro-<id>
+    or all macro-<id>; a mix (or a bare id) is refused because the two
+    averages constrain different variables.
     """
     if not isinstance(testset, MulticlassTestset):
         raise SpecError(f"a multiclass check needs a MulticlassTestset, got "
                         f"{type(testset).__name__}")
-    spec = validate_experiment(
-        ExperimentSpec.single(testset, folding, fold_aggregation))
+    spec = ExperimentSpec.single(testset, folding, fold_aggregation)
     registry = registry or default_registry()
     families = {split_average_prefix(rid)[0] for rid in scores.ids}
     if "" in families:

@@ -36,7 +36,6 @@ from .model import (
     ScoreReport,
     Testset,
     Uncertainty,
-    validate_experiment,
 )
 from .regression import RegressionContext
 from .scores import ScoreRegistry, default_registry
@@ -413,7 +412,6 @@ def generate_true_report(spec: Union[ExperimentSpec, RegressionContext],
     if isinstance(spec, RegressionContext):
         return _generate_regression(rng, spec, k_decimals, mode)
 
-    validate_experiment(spec)
     leaves = []
     outcomes = []
     for ds in spec.datasets:

@@ -1,20 +1,30 @@
 """Consistency test for regression reports.
 
-The classification checks search integer confusion counts; regression
-errors live on a continuum, so there is no lattice to enumerate. What
-remains are exact relations that any genuine (mae, mse, rmse, r2)
-quadruple must satisfy, tested as closed rational intervals around the
-reported values:
+Regression errors live on a continuum, so there is no count lattice to
+search. Instead the report reduces to a window A on a = mae and a window
+M on m = mse, tested once against the region that error vectors reach:
 
-  range        mae >= 0, mse >= 0, rmse >= 0, r2 <= 1
-  power_mean   mae^2 <= mse (quadratic mean dominates arithmetic mean)
-  rmse_mse     rmse^2 = mse, as interval intersection
-  r2_identity  r2 = 1 - mse / Var(y), as interval intersection
+  range        each reported interval is clipped to its score's range
+               (mae, mse, rmse >= 0 and r2 <= 1)
+  rmse_mse     M = mse ∩ rmse^2 is nonempty
+  r2_identity  M ∩ [(1 - r2_hi) Var(y), (1 - r2_lo) Var(y)] is nonempty
+  power_mean   min(A)^2 <= max(M)
+  sample_bound min(M) <= N max(A)^2, N = n_samples; without N, only
+               max(A) = 0 forces min(M) = 0
 
-All conditions are necessary, none sufficient: a violation proves the
-report wrong, a pass proves nothing. That asymmetry matches the rest of
-the library. The r2 identity holds only under the population variance
-convention (divisor N); see RegressionContext.
+Lemma: N real residuals reach (a, m) iff a >= 0 and a^2 <= m <= N a^2.
+  - (sum |e_i|)^2 <= N sum e_i^2 by Cauchy-Schwarz, and sum e_i^2 <=
+    (sum |e_i|)^2 because the cross terms are >= 0.
+  - Conversely, one entry x = a + (N-1)t/N and N - 1 entries y = a - t/N,
+    0 <= t <= N a, have mean a and mean square a^2 + (N-1)t^2/N^2, which
+    covers [a^2, N a^2].
+  - Predictions are free, so rmse^2 = m and r2 = 1 - m/Var(y) add only
+    their identities.
+Both ends of [a^2, N a^2] increase with a, so some a in A reaches M iff
+the last two tests pass: the test of the joint window is exact. Without
+N, a large enough N reaches any m >= a^2 > 0, so it is exact over every
+N. The r2 identity holds only under the population variance convention
+(divisor N); see RegressionContext.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from .model import ConsistencyResult, ScoreReport, Uncertainty, as_fraction
 PROCEDURE_ID = "regression"
 
 PROCEDURES = {
-    "regression": "interval tests of the exact relations among mae, mse, "
-                  "rmse and r2",
+    "regression": "one (mae, mse) window from the reported mae, mse, rmse "
+                  "and r2, tested against mae^2 <= mse <= N mae^2",
 }
 
 #: Recognized regression score ids, in canonical checking order.
@@ -53,8 +63,8 @@ class RegressionContext:
     (divisor N). A source quoting the sample convention (divisor N - 1)
     must be converted by the factor (N - 1) / N first; the r2 identity is
     exact only under one fixed convention, and silently mixing the two
-    would produce false alarms. n_samples is recorded in the result
-    evidence but no current relation uses it.
+    would produce false alarms. n_samples is the N of mse <= N mae^2 and
+    is recorded in the result evidence.
     """
 
     n_samples: Optional[int] = None
@@ -74,12 +84,6 @@ class RegressionContext:
             object.__setattr__(self, "target_variance", var)
 
 
-def _square(interval: RationalInterval) -> RationalInterval:
-    """x -> x^2 over an interval already clipped to x >= 0."""
-    return RationalInterval.closed(interval.lo * interval.lo,
-                                   interval.hi * interval.hi)
-
-
 def check_regression(ctx: RegressionContext, scores: ScoreReport,
                      uncertainty: Uncertainty) -> ConsistencyResult:
     """Decide whether reported regression scores can coexist.
@@ -87,8 +91,10 @@ def check_regression(ctx: RegressionContext, scores: ScoreReport,
     Each reported value v becomes the closed interval
     [v - radius, v + radius]; the relations above are then checked in
     order, and the first violated one is named in the evidence together
-    with the intervals that clash. There is no count witness for
-    regression, so a consistent verdict carries witness=None.
+    with the intervals or bounds that clash. power_mean names as
+    `mse_source` the reported score (mse, rmse or r2) that sets max(M).
+    There is no witness for regression yet, so a consistent verdict
+    carries witness=None.
 
     Raises MissingVariance when r2 is reported without a target variance
     in the context, and UnknownScoreId for ids outside
@@ -113,74 +119,74 @@ def check_regression(ctx: RegressionContext, scores: ScoreReport,
             True, PROCEDURE_ID,
             evidence={"relation": relation, **detail, **base})
 
+    # range: clip each reported interval to the score's theoretical range;
+    # an empty clip means the value cannot be real no matter the others.
     intervals: dict[str, RationalInterval] = {}
-    for score_id, value in scores.items():
+    for score_id in (s for s in REGRESSION_SCORE_IDS if s in scores):
+        value = scores.value(score_id)
         radius = uncertainty.radius_for(score_id)
-        intervals[score_id] = RationalInterval.closed(
-            value - radius, value + radius)
-
-    # range: clip each interval to the score's theoretical range; an empty
-    # clip means the reported value cannot be real no matter the others.
-    for score_id in REGRESSION_SCORE_IDS:
-        if score_id not in intervals:
-            continue
-        clipped = intervals[score_id].intersect(_VALID_RANGES[score_id])
-        if clipped.is_empty:
+        reported = RationalInterval.closed(value - radius, value + radius)
+        intervals[score_id] = reported.intersect(_VALID_RANGES[score_id])
+        if intervals[score_id].is_empty:
             return inconsistent("range", {
                 "score": score_id,
-                "reported": str(scores.value(score_id)),
-                "interval": interval_payload(intervals[score_id]),
+                "reported": str(value),
+                "interval": interval_payload(reported),
                 "valid_range": interval_payload(_VALID_RANGES[score_id]),
             })
-        intervals[score_id] = clipped
 
-    # power_mean: the smallest mae^2 the mae interval allows must not
-    # exceed the largest available mse. When mse itself is absent the
-    # squared rmse interval encodes it exactly (mse = rmse^2).
-    if "mae" in intervals:
-        mae_sq_min = intervals["mae"].lo * intervals["mae"].lo
-        for source in ("mse", "rmse"):
-            if source not in intervals:
-                continue
-            mse_max = intervals[source].hi
-            if source == "rmse":
-                mse_max = mse_max * mse_max
-            if mae_sq_min > mse_max:
-                return inconsistent("power_mean", {
-                    "mae_squared_min": str(mae_sq_min),
-                    "mse_max": str(mse_max),
-                    "mse_source": source,
-                })
-
-    # rmse_mse: the same quantity reported twice must overlap.
-    if "rmse" in intervals and "mse" in intervals:
-        rmse_sq = _square(intervals["rmse"])
-        if rmse_sq.intersect(intervals["mse"]).is_empty:
+    # The window M on mse: each reported encoding of mse narrows it, and
+    # mse_source follows the encoding that last lowered its upper end.
+    window, mse_source = intervals.get("mse", _VALID_RANGES["mse"]), "mse"
+    if "rmse" in intervals:
+        rmse = intervals["rmse"]
+        rmse_sq = RationalInterval.closed(rmse.lo ** 2, rmse.hi ** 2)
+        narrowed = window.intersect(rmse_sq)
+        if narrowed.is_empty:  # only a reported mse can clash with rmse^2
             return inconsistent("rmse_mse", {
                 "rmse_squared": interval_payload(rmse_sq),
-                "mse": interval_payload(intervals["mse"]),
+                "mse": interval_payload(window),
             })
-
-    # r2_identity: r2 = 1 - mse/Var(y). Every reported encoding of mse
-    # constrains the true one, so intersect them all; after rmse_mse
-    # passed this intersection is never empty.
+        if narrowed.hi != window.hi:
+            mse_source = "rmse"
+        window = narrowed
     if "r2" in intervals:
-        mse_info = _VALID_RANGES["mse"]
-        if "mse" in intervals:
-            mse_info = mse_info.intersect(intervals["mse"])
-        if "rmse" in intervals:
-            mse_info = mse_info.intersect(_square(intervals["rmse"]))
-        # [1 - hi/Var, 1 - lo/Var]; without mse or rmse, mse_info is
-        # [0, +inf), so the implied interval is open below
-        var = ctx.target_variance
-        implied = RationalInterval(
-            None if mse_info.hi is None else 1 - mse_info.hi / var,
-            1 - mse_info.lo / var)
-        if implied.intersect(intervals["r2"]).is_empty:
+        var, r2 = ctx.target_variance, intervals["r2"]
+        narrowed = window.intersect(RationalInterval.closed(
+            (1 - r2.hi) * var, (1 - r2.lo) * var))
+        if narrowed.is_empty:
+            # [1 - hi/Var, 1 - lo/Var]; without mse or rmse the window is
+            # [0, +inf), so the implied interval is open below
+            implied = RationalInterval(
+                None if window.hi is None else 1 - window.hi / var,
+                1 - window.lo / var)
             return inconsistent("r2_identity", {
                 "implied_r2": interval_payload(implied),
-                "reported_r2": interval_payload(intervals["r2"]),
-                "target_variance": str(ctx.target_variance),
+                "reported_r2": interval_payload(r2),
+                "target_variance": str(var),
+            })
+        if narrowed.hi != window.hi:
+            mse_source = "r2"
+        window = narrowed
+
+    # The region a^2 <= m <= N a^2 over the window A on mae.
+    if "mae" in intervals:
+        mae = intervals["mae"]
+        mae_sq_min = mae.lo ** 2
+        if window.hi is not None and mae_sq_min > window.hi:
+            return inconsistent("power_mean", {
+                "mae_squared_min": str(mae_sq_min),
+                "mse_max": str(window.hi),
+                "mse_source": mse_source,
+            })
+        if ctx.n_samples is not None:
+            n_mae_sq_max = ctx.n_samples * mae.hi ** 2
+        else:  # for every N, only m = 0 is reachable at a = 0
+            n_mae_sq_max = 0 if mae.hi == 0 else None
+        if n_mae_sq_max is not None and window.lo > n_mae_sq_max:
+            return inconsistent("sample_bound", {
+                "mse_min": str(window.lo),
+                "n_mae_squared_max": str(n_mae_sq_max),
             })
 
     return ConsistencyResult(False, PROCEDURE_ID,

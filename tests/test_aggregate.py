@@ -320,6 +320,20 @@ def test_datasets_som_pools_across_datasets():
     assert res.witness == {"tp": 81, "tn": 850}
 
 
+def test_pooled_evidence_key_order():
+    # The JSON response keeps dict order, so the order of the evidence
+    # keys is part of the output.
+    scores = ScoreReport.of(acc="0.8464", sens="0.81", f1="0.4894")
+    folded = folded_spec(Testset(100, 1000), FoldingScheme.stratified(5), SOM)
+    res = check_experiment(folded, scores, U(4))
+    assert list(res.evidence) == ["tp_range", "tn_range", "pooled"]
+    datasets = two_datasets(Testset(50, 500), Testset(50, 500), SOM, SOM,
+                            FoldingScheme.stratified(5))
+    res = check_experiment(datasets, scores, U(4))
+    assert list(res.evidence) == ["tp_range", "tn_range", "pooled",
+                                  "datasets_pooled"]
+
+
 def test_datasets_som_over_fold_mos_is_refused():
     folds = FoldingScheme.known([Testset(2, 2), Testset(2, 2)])
     spec = ExperimentSpec(

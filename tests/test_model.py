@@ -1,5 +1,6 @@
 """Domain types: validation, uncertainty inference, reports, JSON payloads."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -67,47 +68,64 @@ class TestValidateExperiment:
 
     def test_fold_totals_mismatch(self):
         folds = (Testset(3, 3), Testset(3, 3))
-        spec = ExperimentSpec(
-            (DatasetSpec(Testset(5, 6), FoldingScheme("known_folds", folds=folds)),),
-            fold_aggregation=SOM)
         with pytest.raises(FoldTotalsMismatch):
-            validate_experiment(spec)
+            ExperimentSpec(
+                (DatasetSpec(Testset(5, 6),
+                             FoldingScheme("known_folds", folds=folds)),),
+                fold_aggregation=SOM)
 
     def test_missing_fold_aggregation(self):
         folds = (Testset(2, 2), Testset(2, 2))
-        spec = ExperimentSpec(
-            (DatasetSpec(Testset(4, 4), FoldingScheme("known_folds", folds=folds)),))
         with pytest.raises(MissingAggregationMode):
-            validate_experiment(spec)
+            ExperimentSpec(
+                (DatasetSpec(Testset(4, 4),
+                             FoldingScheme("known_folds", folds=folds)),))
 
     def test_extraneous_fold_aggregation(self):
-        spec = ExperimentSpec((DatasetSpec(Testset(4, 4)),), fold_aggregation=MOS)
         with pytest.raises(ExtraneousAggregationMode):
-            validate_experiment(spec)
+            ExperimentSpec((DatasetSpec(Testset(4, 4)),), fold_aggregation=MOS)
 
     def test_multiple_datasets_need_mode(self):
-        spec = ExperimentSpec((DatasetSpec(Testset(1, 1)), DatasetSpec(Testset(2, 2))))
         with pytest.raises(MissingAggregationMode):
-            validate_experiment(spec)
+            ExperimentSpec((DatasetSpec(Testset(1, 1)),
+                            DatasetSpec(Testset(2, 2))))
 
     def test_stratified_empty_fold(self):
-        spec = ExperimentSpec(
-            (DatasetSpec(Testset(1, 0), FoldingScheme("stratified_kfold", k=2)),),
-            fold_aggregation=MOS)
         with pytest.raises(InvalidFoldCount):
-            validate_experiment(spec)
+            ExperimentSpec(
+                (DatasetSpec(Testset(1, 0),
+                             FoldingScheme("stratified_kfold", k=2)),),
+                fold_aggregation=MOS)
 
     def test_stratified_error_names_the_dataset(self):
         """Validation applies the stratified split rule itself and prefixes
         its message with the dataset's index."""
-        spec = ExperimentSpec(
-            (DatasetSpec(Testset(4, 4)),
-             DatasetSpec(Testset(2, 1), FoldingScheme.stratified(3))),
-            fold_aggregation=MOS, dataset_aggregation=MOS)
         with pytest.raises(InvalidFoldCount, match=r"^dataset 1: stratified "
                            r"split of totals \(2, 1\) into k=3 folds leaves "
                            r"a fold empty$"):
-            validate_experiment(spec)
+            ExperimentSpec(
+                (DatasetSpec(Testset(4, 4)),
+                 DatasetSpec(Testset(2, 1), FoldingScheme.stratified(3))),
+                fold_aggregation=MOS, dataset_aggregation=MOS)
+
+    def test_parsing_validates_known_fold_totals(self):
+        payload = {"datasets": [{
+            "testset": {"p": 5, "n": 6},
+            "folding": {"kind": "known_folds",
+                        "folds": [{"p": 3, "n": 3}, {"p": 3, "n": 3}]}}],
+            "fold_aggregation": "score_of_means"}
+        with pytest.raises(FoldTotalsMismatch, match="^dataset 0: "):
+            experiment_from_payload(payload)
+
+    def test_replace_validates_again(self):
+        spec = ExperimentSpec.single(Testset(4, 4), FoldingScheme.stratified(2),
+                                     MOS)
+        with pytest.raises(MissingAggregationMode):
+            dataclasses.replace(spec, fold_aggregation=None)
+
+    def test_only_specs_pass(self):
+        with pytest.raises(SpecError, match="^not an ExperimentSpec"):
+            validate_experiment({"datasets": []})
 
     def test_unknown_aggregation_mode_is_a_parse_error(self):
         with pytest.raises(ParseError, match=r"^fold_aggregation must be one "

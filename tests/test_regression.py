@@ -2,12 +2,14 @@
 r2) are tied together by exact identities, and a report violating any of
 them cannot have come from real predictions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from scoresleuth.errors import MissingVariance, SpecError, UnknownScoreId
+from scoresleuth.intervals import RationalInterval
 from scoresleuth.model import ScoreReport, Uncertainty
 from scoresleuth.oracle import render_decimal
 from scoresleuth.regression import RegressionContext, check_regression
@@ -145,6 +147,50 @@ def test_r2_identity_works_through_rmse():
     assert bad.evidence["relation"] == "r2_identity"
 
 
+def test_sample_bound_caps_mse_at_n_mae_squared():
+    # mse <= N mae^2: at N = 10, mae <= 0.11 allows mse <= 0.121 < 0.49
+    res = check_regression(RegressionContext(n_samples=10),
+                           ScoreReport.of(mae="0.10", mse="0.50"), U(2))
+    assert res.inconsistency
+    assert res.evidence == {"relation": "sample_bound", "mse_min": "49/100",
+                            "n_mae_squared_max": "121/1000",
+                            "n_samples": 10}
+    assert not reference_flags(RegressionContext(n_samples=10),
+                               ScoreReport.of(mae="0.10", mse="0.50"), U(2))
+
+
+def test_r2_caps_mse_below_mae_squared():
+    # r2 >= 0.98 at Var(y) = 1 gives mse <= 0.02 < 0.49^2
+    ctx = RegressionContext(target_variance=1)
+    report = ScoreReport.of(mae="0.50", r2="0.99")
+    res = check_regression(ctx, report, U(2))
+    assert res.inconsistency
+    assert res.evidence == {"relation": "power_mean",
+                            "mae_squared_min": "2401/10000",
+                            "mse_max": "1/50", "mse_source": "r2"}
+    assert not reference_flags(ctx, report, U(2))
+
+
+def test_zero_mae_forces_zero_mse_without_n():
+    report = ScoreReport.of(mae="0", mse="0.5")
+    res = check_regression(RegressionContext(), report, Uncertainty(0))
+    assert res.inconsistency
+    assert res.evidence == {"relation": "sample_bound", "mse_min": "1/2",
+                            "n_mae_squared_max": "0"}
+    assert not reference_flags(RegressionContext(), report, Uncertainty(0))
+    # any positive mae lets a large enough N reach the mse
+    assert not check_regression(RegressionContext(),
+                                ScoreReport.of(mae="0.001", mse="0.5"),
+                                Uncertainty(0)).inconsistency
+
+
+def test_rmse_mse_is_checked_before_power_mean():
+    res = check_regression(RegressionContext(),
+                           ScoreReport.of(mae="3.0", mse="1.0", rmse="2.0"),
+                           U(4))
+    assert res.evidence["relation"] == "rmse_mse"
+
+
 def test_r2_alone_scales_the_unbounded_mse_range():
     # without mse or rmse the identity only knows mse >= 0, so the implied
     # r2 interval is (-inf, 1], which contains any legal r2
@@ -217,3 +263,117 @@ def test_eps_and_score_set_monotonicity():
             drop = {k: sub[k] for k in pick[:-1]}
             fewer = check_regression(ctx, ScoreReport(drop), U(3))
             assert not fewer.inconsistency, sub
+
+
+# ----------------------------------------------------------- region ends
+
+def residual_report(errs, k, mode, var=None):
+    n = len(errs)
+    mae = sum(abs(e) for e in errs) / n
+    mse = sum(e * e for e in errs) / n
+    exact = {"mae": mae, "mse": mse, "rmse": sqrt_fraction(mse)}
+    if var is not None:
+        exact["r2"] = 1 - mse / var
+    return {sid: render_decimal(v, k, mode) for sid, v in exact.items()}
+
+
+def test_region_ends_and_two_level_vectors_are_consistent():
+    """The equal vector (mse = mae^2), the one-entry vector (mse =
+    N mae^2) and two-level vectors in between, rendered to k decimals,
+    are never flagged with their N known."""
+    rng = random.Random(4471)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        a = F(rng.randint(0, 400), rng.randint(1, 60))
+        t = F(rng.randint(0, 1000), 1000) * n * a
+        vectors = [[a] * n, [n * a] + [F(0)] * (n - 1),
+                   [a + (n - 1) * t / n] + [a - t / n] * (n - 1)]
+        for errs in vectors:
+            assert sum(abs(e) for e in errs) / n == a
+            k = rng.randint(1, 4)
+            var = F(rng.randint(1, 400), rng.randint(1, 20))
+            entries = residual_report(errs, k, rng.choice(["round", "truncate"]),
+                                      var if rng.random() < 0.5 else None)
+            ctx = RegressionContext(n_samples=n, target_variance=var)
+            res = check_regression(ctx, ScoreReport(entries), U(k))
+            assert not res.inconsistency, (n, errs, entries, res.evidence)
+
+
+# -------------------------------------- the four-relation check as reference
+
+def reference_flags(ctx, scores, uncertainty):
+    """The earlier check: four relation passes (range, power_mean against
+    mse and against rmse^2 separately, rmse_mse, r2_identity), each on
+    part of the report. True when it flags the report."""
+    valid = {"mae": RationalInterval.at_least(0),
+             "mse": RationalInterval.at_least(0),
+             "rmse": RationalInterval.at_least(0),
+             "r2": RationalInterval.at_most(1)}
+
+    def square(iv):
+        return RationalInterval.closed(iv.lo * iv.lo, iv.hi * iv.hi)
+
+    intervals = {}
+    for score_id, value in scores.items():
+        radius = uncertainty.radius_for(score_id)
+        intervals[score_id] = RationalInterval.closed(value - radius,
+                                                      value + radius)
+    for score_id in ("mae", "mse", "rmse", "r2"):
+        if score_id in intervals:
+            intervals[score_id] = intervals[score_id].intersect(valid[score_id])
+            if intervals[score_id].is_empty:
+                return True
+    if "mae" in intervals:
+        mae_sq_min = intervals["mae"].lo * intervals["mae"].lo
+        for source in ("mse", "rmse"):
+            if source in intervals:
+                mse_max = intervals[source].hi
+                if source == "rmse":
+                    mse_max = mse_max * mse_max
+                if mae_sq_min > mse_max:
+                    return True
+    if "rmse" in intervals and "mse" in intervals:
+        if square(intervals["rmse"]).intersect(intervals["mse"]).is_empty:
+            return True
+    if "r2" in intervals:
+        mse_info = valid["mse"]
+        if "mse" in intervals:
+            mse_info = mse_info.intersect(intervals["mse"])
+        if "rmse" in intervals:
+            mse_info = mse_info.intersect(square(intervals["rmse"]))
+        var = ctx.target_variance
+        implied = RationalInterval(
+            None if mse_info.hi is None else 1 - mse_info.hi / var,
+            1 - mse_info.lo / var)
+        if implied.intersect(intervals["r2"]).is_empty:
+            return True
+    return False
+
+
+def test_every_report_the_reference_flags_is_still_flagged():
+    rng = random.Random(90210)
+    counts = {"reference": 0, "only_now": 0}
+    for _ in range(2500):
+        n = rng.choice([None, rng.randint(2, 30)])
+        var = rng.choice([None, F(rng.randint(1, 200), rng.randint(1, 50))])
+        a = rng.uniform(-0.05, 2)
+        m = a * a * math.exp(rng.uniform(-0.3, 3.7)) + rng.uniform(-0.05, 0.05)
+        # rmse and r2 agree with mse, or are drawn on their own
+        candidates = {"mae": a, "mse": m,
+                      "rmse": math.sqrt(abs(m)) * rng.choice(
+                          [1, rng.uniform(0.5, 2)])}
+        if var is not None:
+            candidates["r2"] = rng.choice([1 - m / float(var),
+                                           rng.uniform(-1.5, 1.05)])
+        pick = rng.sample(sorted(candidates), rng.randint(1, len(candidates)))
+        k = rng.randint(1, 4)
+        report = ScoreReport({sid: f"{candidates[sid]:.{k}f}" for sid in pick})
+        ctx = RegressionContext(n_samples=n, target_variance=var)
+        flagged = check_regression(ctx, report, U(k)).inconsistency
+        if reference_flags(ctx, report, U(k)):
+            counts["reference"] += 1
+            assert flagged, (ctx, report, k)
+        elif flagged:
+            counts["only_now"] += 1
+    # the draw exercises both the shared relations and the new ones
+    assert counts["reference"] >= 200 and counts["only_now"] >= 50, counts
