@@ -16,7 +16,13 @@ The usual entry points:
     check_bundle           a packaged dataset's predefined spec
     brute_force_single     shipped oracles for auditing small verdicts
     generate_true_report   sampler for reports that are true by construction
+
+The names from `bundles`, `multiclass`, `oracle` and `regression` are
+resolved on first access (PEP 562), so `import scoresleuth` does not load
+those modules until a name from them is used.
 """
+
+import importlib
 
 from .aggregate import (
     check_experiment,
@@ -25,7 +31,6 @@ from .aggregate import (
     reduce_som,
 )
 from .binary import check_single_testset, feasible_region
-from .bundles import Bundle, check_bundle, list_bundles, load_bundle
 from .errors import (
     EmptyExperiment,
     InstanceTooLarge,
@@ -56,16 +61,6 @@ from .model import (
     infer_uncertainty,
     validate_experiment,
 )
-from .multiclass import check_multiclass_dataset
-from .oracle import (
-    OracleResult,
-    brute_force_macro,
-    brute_force_mos,
-    brute_force_single,
-    generate_true_report,
-    render_decimal,
-)
-from .regression import RegressionContext, check_regression
 from .scores import (
     ScoreDefinition,
     ScoreRegistry,
@@ -76,6 +71,25 @@ from .scores import (
 from .values import SqrtRational
 
 __version__ = "0.1.0"
+
+#: Exported names resolved on first access, by the module that defines them.
+_LAZY = {
+    **dict.fromkeys(("Bundle", "check_bundle", "list_bundles", "load_bundle"),
+                    "bundles"),
+    "check_multiclass_dataset": "multiclass",
+    **dict.fromkeys(("OracleResult", "brute_force_macro", "brute_force_mos",
+                     "brute_force_single", "generate_true_report",
+                     "render_decimal"), "oracle"),
+    **dict.fromkeys(("RegressionContext", "check_regression"), "regression"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AggregationMode",

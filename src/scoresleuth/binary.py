@@ -43,18 +43,23 @@ Neither inversion nor verification builds a Fraction or a SqrtRational
 per pair or per column: testsets with p up to about 10^4 and n up to
 about 10^5 are decided in under a second.
 
-Each inversion is seeded with the last nonempty box the same score gave
-on the same axis: in the prune, from the previous pass, and in the scan,
-from an earlier column. The score is monotone in both counts, so a
-column's bounds move monotonically with tp, and the boxes of successive
-passes only shrink; either way the new ends lie near the old
-ones, and invert gallops to them from there (saddleback search; Bird, MPC
-2006) instead of bisecting the whole axis. The seed changes no inversion:
-the corner tests are monotone on the interior, and a gallop from any
-start ends at the same first-true and last-true index as a bisection
-(scores._first_true). So every box, column, visited pair, witness and
-piece of evidence is the same as without seeds; only the number of
-corner tests falls.
+Most inversions need no search: a score that is a ratio of two affine
+functions of the inverted count (18 of the 22 shipped scores on both
+axes, fm on tn) has its corner tests solved in closed form on the
+interior of the axis (scores.ScoreDefinition.invert). The others (mk,
+mcc, kappa, and fm on tp) are searched, and each such inversion is
+seeded with the last nonempty box the same score gave on the same axis:
+in the prune, from the previous pass, and in the scan, from an earlier
+column. The score is monotone in both counts, so a column's bounds move
+monotonically with tp, and the boxes of successive passes only shrink;
+either way the new ends lie near the old ones, and invert gallops to
+them from there (saddleback search; Bird, MPC 2006) instead of bisecting
+the whole axis. Neither changes an inversion: the corner tests are
+monotone on the interior, the closed form returns their exact runs, and
+a gallop from any start ends at the same first-true and last-true index
+as a bisection (scores._first_true). So every box, column, visited pair,
+witness and piece of evidence is the same as with bisections; only the
+number of corner tests falls.
 """
 
 from __future__ import annotations

@@ -28,10 +28,13 @@ other with a single exact corner test: the score at the minimising corner
 must not exceed the target and the score at the maximising corner must
 reach it, where a corner at which the score is undefined widens to the
 range endpoint. The two boundary values of the inverted count take the
-test directly and the interior, where corner values are defined and
-monotone, is binary-searched; the returned int box is the hull of
-everything that might satisfy the target, which is all the engine needs
-because final verification is pointwise and exact.
+test directly. On the interior corner values are defined and monotone;
+where the compiled formula is a ratio of two affine functions of the
+inverted count (of the radicand for the square-root kind), each corner
+test is solved in closed form from its two end values, and elsewhere
+(mk, mcc, kappa, and fm in tp) it is searched. The returned int box is
+the hull of everything that might satisfy the target, which is all the
+engine needs because final verification is pointwise and exact.
 
 invert() and within() take ints only: counts, an int box (lo, hi) for
 the other count, and the target as target_ends(), its ends as
@@ -54,15 +57,16 @@ ends, evaluate(), the brute-force oracles and checkers that recompute a
 witness.
 
 invert() may be given a box `near`, such as its own result for the
-previous column of a scan or the previous pass of a prune, and then
-gallops from its ends instead of bisecting the whole axis (saddleback
-search; Bird, MPC 2006). This changes no result. On the interior [1,
-size-1] the corner tests a_ok and b_ok are monotone (see invert()), so
-each has exactly one first-true and one last-true index. _first_true and
-_last_true only ever move their bracket by what monotonicity implies from
-a probe, whether the probe comes from the gallop or the bisection, so
-from any start they return that index. Only the number of compare()
-calls depends on `near`, and it falls when the answer lies close to it.
+previous column of a scan or the previous pass of a prune, and then a
+searched axis gallops from its ends instead of bisecting the whole axis
+(saddleback search; Bird, MPC 2006). This changes no result. On the
+interior [1, size-1] the corner tests a_ok and b_ok are monotone (see
+invert()), so each has exactly one first-true and one last-true index.
+_first_true and _last_true only ever move their bracket by what
+monotonicity implies from a probe, whether the probe comes from the
+gallop or the bisection, so from any start they return that index. Only
+the number of compare() calls depends on `near`, and it falls when the
+answer lies close to it.
 """
 
 from __future__ import annotations
@@ -202,6 +206,40 @@ def _compile(expr: AstNode):
     return kind, namespace["_formula"]
 
 
+#: The count variables that carry each axis count with degree 1.
+_AXIS_VARS = {"tp": ("tp", "fn"), "tn": ("tn", "fp")}
+
+
+def _degrees(node: AstNode, axis: str) -> tuple[int, int]:
+    """Upper bounds on the degrees in the `axis` count ('tp' or 'tn') of
+    the numerator and the denominator that _pair_src compiles a sqrt-free
+    node to, following its products: a sum or difference of N1/D1 and
+    N2/D2 is (N1*D2 ± N2*D1) / (D1*D2), a product multiplies both parts
+    and a quotient crosses them."""
+    if not isinstance(node, list):
+        return int(node in _AXIS_VARS[axis]), 0
+    if node[0] == "neg":
+        return _degrees(node[1], axis)
+    (n1, d1), (n2, d2) = _degrees(node[1], axis), _degrees(node[2], axis)
+    if node[0] in ("+", "-"):
+        return max(n1 + d2, n2 + d1), d1 + d2
+    if node[0] == "*":
+        return n1 + n2, d1 + d2
+    return n1 + d2, d1 + n2
+
+
+def _fractional_axes(expr: AstNode, kind: str) -> frozenset:
+    """The axes in which a formula of the 'rational' or 'sqrt' kind (of the
+    latter, its radicand) compiles to a numerator and a denominator of
+    degree at most 1: a ratio of two affine functions of that count, which
+    invert() inverts in closed form."""
+    if kind == "ratio_sqrt":
+        return frozenset()
+    body = expr[1] if kind == "sqrt" else expr
+    return frozenset(axis for axis in ("tp", "tn")
+                     if max(_degrees(body, axis)) <= 1)
+
+
 class AffineForm(NamedTuple):
     """score = alpha*tp/p + beta*tn/n + gamma*(tp + tn)/(p + n) + delta
     wherever the formula is defined, which is wherever none of the totals
@@ -331,6 +369,7 @@ class ScoreDefinition:
         self.mono_tn = mono_tn
         self.default_enabled = default_enabled
         self._kind, self._fn = _compile(formula)
+        self._fractional = _fractional_axes(formula, self._kind)
         self._range_ends = target_ends(range_)
         self.form = affine_form(formula)
 
@@ -495,11 +534,37 @@ class ScoreDefinition:
         is all callers need because final verification is pointwise and
         exact.
 
+        Closed form, on an axis in self._fractional (_fractional_axes):
+        with the other count o fixed, the compiled parts N(m) and D(m)
+        have degree at most 1 in m. Where D(m) != 0, compare() gives the
+        sign of N(m)*cd - cn*D(m) times sgn D(m) (for the sqrt kind,
+        N(m)*cd² - cn²*D(m) when cn >= 0, and +1 when cn < 0, since a
+        square root lies above every negative end). D is affine and does
+        not vanish on the interior unless it vanishes there throughout
+        (the facts above), so it keeps one sign s there, the sign of
+        D(1) + D(size-1), and if that sum is 0, D is 0 at both ends and so
+        on the whole interior, where the corner is the constant widened
+        answer. Otherwise the test at m is E(m) >= 0 with E(m) = sense *
+        s * (N(m)*cd - cn*D(m)) (sense = 1 for b_ok, -1 for a_ok; cd² and
+        cn² for the sqrt kind), an affine function of m that E(1) and
+        E(size-1) fix. Its nonnegative set on [1, size-1] is everything
+        when both ends are >= 0, nothing when both are < 0, and else a run
+        that starts or ends at the crossing: with L = size-2, E(m) =
+        E(1) + (m-1)*(E(size-1) - E(1))/L, so the first m with E(m) >= 0
+        is 1 - floor(E(1)*L / (E(size-1) - E(1))) (one ceil division) and
+        the last is 1 + floor(E(1)*L / (E(1) - E(size-1))). For size 2 the
+        interior is the point 1 and both ends are that point. The runs of
+        a_ok and b_ok are their true sets, which are the monotone runs the
+        search would find, so their intersection is exactly the searched
+        (t1, t2), and no compare() call is made on the interior (a ratio
+        of affine functions compared with a constant is an affine
+        inequality; Charnes & Cooper, Naval Res. Logist. Q. 1962).
+
         `near`, an int box such as this score's result for a neighbouring
         column or an earlier pruning pass, seeds the two interior searches
-        from its ends (clamped to [1, size-1]; None means no seed). The
-        result does not depend on it (see the module docstring), only the
-        number of compare() calls does.
+        of a searched axis from its ends (clamped to [1, size-1]; None
+        means no seed). The result does not depend on it (see the module
+        docstring), only the number of compare() calls does.
         """
         tp_axis = axis == "tp"
         size, other_size = (p, n) if tp_axis else (n, p)
@@ -516,36 +581,44 @@ class ScoreDefinition:
         compare = self.compare
         lo, hi = target
         range_lo, range_hi = self._range_ends
-        if lo is not None:
+        if lo is not None:  # b_wide, a_wide: the tests at an undefined corner
             lo_n, lo_d = lo
+            b_wide = range_hi is None or range_hi[0] * lo_d >= lo_n * range_hi[1]
         if hi is not None:
             hi_n, hi_d = hi
+            a_wide = range_lo is None or range_lo[0] * hi_d <= hi_n * range_lo[1]
 
         def b_ok(m):  # sup over other reaches the target's lower end
             if lo is None:
                 return True
             sign = (compare(m, o_max, p, n, lo_n, lo_d) if tp_axis
                     else compare(o_max, m, p, n, lo_n, lo_d))
-            if sign is None:
-                return (range_hi is None
-                        or range_hi[0] * lo_d >= lo_n * range_hi[1])
-            return sign >= 0
+            return b_wide if sign is None else sign >= 0
 
         def a_ok(m):  # inf over other stays under the target's upper end
             if hi is None:
                 return True
             sign = (compare(m, o_min, p, n, hi_n, hi_d) if tp_axis
                     else compare(o_min, m, p, n, hi_n, hi_d))
-            if sign is None:
-                return (range_lo is None
-                        or range_lo[0] * hi_d <= hi_n * range_lo[1])
-            return sign <= 0
+            return a_wide if sign is None else sign <= 0
 
         pieces = []
         for m in {0, size}:
             if a_ok(m) and b_ok(m):
                 pieces.append((m, m))
-        if size >= 2:
+        if size >= 2 and axis in self._fractional:
+            run_a = run_b = (1, size - 1)
+            if hi is not None:
+                run_a = self._interior_run(tp_axis, o_min, p, n, size, hi, -1,
+                                           a_wide)
+            if lo is not None and run_a is not None:
+                run_b = self._interior_run(tp_axis, o_max, p, n, size, lo, 1,
+                                           b_wide)
+            if run_a is not None and run_b is not None:
+                t1, t2 = max(run_a[0], run_b[0]), min(run_a[1], run_b[1])
+                if t1 <= t2:
+                    pieces.append((t1, t2))
+        elif size >= 2:
             near_lo, near_hi = (None, None) if near is None else near
             if mono_main > 0:
                 t1 = _first_true(1, size - 1, b_ok, near_lo)
@@ -558,6 +631,33 @@ class ScoreDefinition:
         if not pieces:
             return None
         return min(a for a, _ in pieces), max(b for _, b in pieces)
+
+    def _interior_run(self, tp_axis: bool, o: int, p: int, n: int, size: int,
+                      end: tuple[int, int], sense: int, widened: bool
+                      ) -> Optional[tuple[int, int]]:
+        """(first, last) of the m in [1, size-1] whose corner test at (m, o)
+        (tp = m on the tp axis, tn = m on the tn axis) passes, None when
+        none does: sense * sign(score - end) >= 0, or `widened` where the
+        score is undefined. For an axis in self._fractional only; the
+        closed form is proved in invert()."""
+        fn, last = self._fn, size - 1
+        n1, d1 = fn(1, o, p, n) if tp_axis else fn(o, 1, p, n)
+        n2, d2 = fn(last, o, p, n) if tp_axis else fn(o, last, p, n)
+        if d1 + d2 == 0:  # D vanishes on the whole interior
+            return (1, last) if widened else None
+        cn, cd = end
+        if self._kind == "sqrt":
+            if cn < 0:  # a square root lies above every negative end
+                return (1, last) if sense > 0 else None
+            cn, cd = cn * cn, cd * cd
+        if d1 + d2 < 0:
+            sense = -sense
+        e1, e2 = sense * (n1 * cd - cn * d1), sense * (n2 * cd - cn * d2)
+        if e1 >= 0:
+            return (1, last) if e2 >= 0 else (1, 1 + e1 * (last - 1) // (e1 - e2))
+        if e2 < 0:
+            return None
+        return 1 - e1 * (last - 1) // (e2 - e1), last
 
     def to_payload(self) -> dict:
         return {

@@ -176,25 +176,28 @@ def test_inversion_count_is_pinned(monkeypatch, p, n, entries, inversions,
 
 
 @pytest.mark.parametrize("p, n, entries, compares, inversions, result", [
-    # single_audit hard case 3: 587197 compare() calls with bisections
-    (9237, 92296, {"fdr": "0.22", "mcc": "0.88"}, 130560, 18213,
+    # single_audit hard case 3: 587197 compare() calls with bisections,
+    # 130560 with gallops on every axis
+    (9237, 92296, {"fdr": "0.22", "mcc": "0.88"}, 88593, 18213,
      (False, {"tp": 9109, "tn": 89874},
       {"tp_range": ["0", "9237"], "tn_range": ["89537", "92296"]})),
-    # single_audit hard case 9: 616828 with bisections
-    (8557, 61698, {"mcc": "-0.07", "ppv": "0.13"}, 283558, 16728,
+    # single_audit hard case 9: 616828 with bisections, 283558 with gallops
+    (8557, 61698, {"mcc": "-0.07", "ppv": "0.13"}, 166415, 16728,
      (False, {"tp": 8361, "tn": 384},
       {"tp_range": ["0", "8557"], "tn_range": ["0", "61698"]})),
-    # 98 pruning passes on parallel level sets: 10678 with bisections
-    (349, 14552, {"acc": "0.012", "err": "0.986"}, 2745, 390,
+    # 98 pruning passes on parallel level sets: 10678 with bisections,
+    # 2745 with gallops
+    (349, 14552, {"acc": "0.012", "err": "0.986"}, 1171, 390,
      (True, None, {"tp_range": "empty", "tn_range": "empty"})),
 ])
 def test_compare_count_is_pinned(monkeypatch, p, n, entries, compares,
                                  inversions, result):
-    """Seeded from the previous column's or round's box, each inversion
-    gallops instead of bisecting the whole axis: the number of
-    ScoreDefinition.compare calls (wrapped at class level) drops, while
-    the inversions, the witness and the evidence stay those of the
-    bisecting scan."""
+    """An inversion over a linear-fractional axis makes no compare() call
+    on the interior (closed form), and any other is seeded from the
+    previous column's or round's box and gallops instead of bisecting the
+    whole axis: the number of ScoreDefinition.compare calls (wrapped at
+    class level) drops, while the inversions, the witness and the evidence
+    stay those of the bisecting scan."""
     counts = {"compare": 0, "invert": 0}
     for name in counts:
         method = getattr(ScoreDefinition, name)

@@ -293,6 +293,14 @@ def test_compare_matches_value_exhaustively_on_small_testsets(registry):
 NEG_SENS = ["/", ["neg", "tp"], ["neg", "p"]]
 NEG_FORMULAS = [NEG_SENS, ["sqrt", NEG_SENS], ["sqrt", ["-", "tp", "fn"]],
                 ["/", ["-", "tp", "fn"], ["sqrt", NEG_SENS]]]
+#: ppv and gm written with negated terms: negative compiled denominators
+#: (and radicand parts) on scores that keep the facts invert() relies on.
+NEGATED = [
+    ScoreDefinition("neg-ppv", "negated ppv",
+                    ["/", ["neg", "tp"], ["neg", ["+", "tp", "fp"]]], I(0, 1), 1, 1),
+    ScoreDefinition("neg-gm", "negated gm",
+                    ["sqrt", ["/", ["neg", ["*", "tp", "tn"]],
+                              ["neg", ["*", "p", "n"]]]], I(0, 1), 1, 1)]
 
 
 def test_compare_with_negative_compiled_denominators():
@@ -411,21 +419,82 @@ def _reference_invert(definition, target, other_box, p, n, axis):
     return (kept[0], kept[-1]) if kept else None
 
 
+def _reference_case(rng, definitions):
+    """A random instance (definition, target, other box, p, n, axis) for
+    the invert() reference tests: any score, one of NEGATED, or F-beta at
+    a random rational beta; p and n in 0..40, or in 0..300 one time in
+    four; the targets of _random_target, or a window of a few units at 2-4
+    decimals around the score at a random count, or one-sided with a
+    negative end, which a square-root score exceeds at every count."""
+    definition = rng.choice(definitions + NEGATED + [None])
+    if definition is None:
+        definition = fbeta_definition(F(rng.randint(1, 12), rng.randint(1, 12)))
+    top = 300 if rng.random() < 0.25 else 40
+    p, n = rng.randint(0, top), rng.randint(0, top)
+    axis = rng.choice(("tp", "tn"))
+    other_box = _random_box(rng, n if axis == "tp" else p)
+    kind = rng.randrange(4)
+    if kind == 0:
+        end = F(-rng.randint(1, 100), 100)
+        target = rng.choice((RationalInterval.at_least(end),
+                             RationalInterval.at_most(end)))
+    elif kind == 1:
+        den = 10 ** rng.randint(2, 4)
+        value = definition.value(rng.randint(0, p), rng.randint(0, n), p, n)
+        mid = (rng.randint(-den, den) if value is None
+               else round(float(value) * den))
+        target = I(F(mid - rng.randint(0, 3), den), F(mid + rng.randint(0, 3), den))
+    else:
+        target = _random_target(rng, definition, p, n)
+    return definition, target, other_box, p, n, axis
+
+
 def test_invert_matches_value_reference(registry):
-    """invert() on integer corners equals the hull of its corner test
-    recomputed with value() at every count, on random instances of all
-    scores, both axes, p and n in 0..40."""
+    """invert() on integer corners, in closed form or searched, equals the
+    hull of its corner test recomputed with value() at every count, on
+    random instances (_reference_case) of all scores and both axes."""
     rng = random.Random(13)
     definitions = _all_definitions(registry)
     for _ in range(2500):
-        definition = rng.choice(definitions)
-        p, n = rng.randint(0, 40), rng.randint(0, 40)
-        axis = rng.choice(("tp", "tn"))
-        other_box = _random_box(rng, n if axis == "tp" else p)
-        target = _random_target(rng, definition, p, n)
+        definition, target, other_box, p, n, axis = _reference_case(
+            rng, definitions)
         assert definition.invert(target_ends(target), other_box, p, n, axis) == \
             _reference_invert(definition, target, other_box, p, n, axis), (
                 definition, target, other_box, p, n, axis)
+
+
+#: The (score, axis) pairs that invert() does not take in closed form;
+#: every other pair of a shipped score does. kappa is linear-fractional
+#: in each count after cancellation, but its compiled parts have degree 2.
+SEARCHED_AXES = {("fm", "tp"), ("mk", "tp"), ("mk", "tn"), ("mcc", "tp"),
+                 ("mcc", "tn"), ("kappa", "tp"), ("kappa", "tn")}
+
+
+def test_closed_form_axes_are_pinned(registry, monkeypatch):
+    """18 of the 22 scores, and F-beta at any beta, are inverted in
+    closed form on both axes, fm on tn only, and mk, mcc and kappa on
+    neither. A closed-form inversion calls compare() only at the boundary
+    counts 0 and size, at most 4 times; a search on an axis of 1000
+    counts calls it more often."""
+    calls = []
+    compare = ScoreDefinition.compare
+
+    def counted(self, *args):
+        calls.append(args)
+        return compare(self, *args)
+    monkeypatch.setattr(ScoreDefinition, "compare", counted)
+    betas = [fbeta_definition(F(b)) for b in ("1/3", "7/2")]
+    searched = set()
+    for definition in registry.definitions() + betas:
+        for axis in ("tp", "tn"):
+            calls.clear()
+            value = definition.value(400, 700, 1000, 1000)
+            mid = round(float(value) * 1000)
+            definition.invert(target_ends(I(F(mid - 2, 1000), F(mid + 2, 1000))),
+                              (0, 1000), 1000, 1000, axis)
+            if len(calls) > 4:
+                searched.add((definition.score_id, axis))
+    assert searched == SEARCHED_AXES
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +605,13 @@ def _random_near(rng, size):
 
 def test_invert_near_matches_invert(registry):
     """invert(..., near) equals invert(...) and the value() reference for
-    random seed boxes, empty and out-of-axis ones included, on the
-    instances of test_invert_matches_value_reference over all scores."""
+    random seed boxes, empty and out-of-axis ones included, on random
+    instances (_reference_case) of all scores and both axes."""
     rng = random.Random(13)
     definitions = _all_definitions(registry)
     for _ in range(2500):
-        definition = rng.choice(definitions)
-        p, n = rng.randint(0, 40), rng.randint(0, 40)
-        axis = rng.choice(("tp", "tn"))
-        other_box = _random_box(rng, n if axis == "tp" else p)
-        target = _random_target(rng, definition, p, n)
+        definition, target, other_box, p, n, axis = _reference_case(
+            rng, definitions)
         ends = target_ends(target)
         plain = definition.invert(ends, other_box, p, n, axis)
         assert plain == _reference_invert(definition, target, other_box, p,

@@ -74,3 +74,26 @@ def test_main_prints_each_changed_count_with_its_stratum_size(tmp_path,
 def test_request_keys_pair_equal_texts_only():
     assert verdict_diff.request_key("{}") == verdict_diff.request_key("{}")
     assert verdict_diff.request_key("{}") != verdict_diff.request_key("{ }")
+
+
+def test_a_reordered_response_counts_as_changed_bytes_only(tmp_path, capsys):
+    """Two responses that parse to the same dict but differ in key order
+    change no field, count as changed bytes and exit 0."""
+    texts = ('{"inconsistency": false, "witness": {"tp": 1, "tn": 2}}',
+             '{"witness": {"tn": 2, "tp": 1}, "inconsistency": false}')
+    dumps = []
+    for text in texts:
+        record = _record("m/1/000", "consistent", json.loads(text))
+        record["sha256"] = verdict_diff.response_digest(text)
+        dumps.append({"k": record})
+    assert dumps[0]["k"]["response"] == dumps[1]["k"]["response"]
+    flips, statuses, fields = verdict_diff.compare(*dumps)
+    assert (flips, statuses) == ([], [])
+    assert fields == {("multiclass", "macro_plain", "bytes"): 1}
+    paths = []
+    for name, dump in zip(("old", "new"), dumps):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump))
+    assert verdict_diff.main(["compare", *map(str, paths)]) == 0
+    assert "changed bytes: multiclass/macro_plain: 1 of 1\n" in \
+        capsys.readouterr().out

@@ -10,13 +10,16 @@ lists of every workload for the seeds in SEEDS (1-3), and sends each
 request that is not a hard case through `loop.check_once`, the
 benchmark's own request path. The
 dump maps a SHA-256 of each request's text to its workload, stratum,
-status and parsed response, so the dumps of two checkouts pair up request
-by request whatever the order of the lists (requests with the same text
-share one entry).
+status, parsed response and a SHA-256 of the raw response text. Keyed by
+request text, the dumps of two checkouts pair up request by request
+whatever the order of the lists (requests with the same text share one
+entry).
 
 `compare` counts, by workload, stratum and top-level response field, the
 requests whose responses differ, out of the requests of that stratum
-paired in both dumps, and lists each flip between the
+paired in both dumps. The pseudo-field `bytes` counts the responses
+whose raw text differs, which also catches a change of key order that
+leaves every parsed field equal. It lists each flip between the
 consistent and the inconsistent verdict. It exits 1 when there is a flip
 and 0 otherwise: a changed witness or evidence is printed, not failed, as
 a new search order may find another witness. A request that is decided
@@ -42,6 +45,12 @@ def request_key(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
+def response_digest(text: str | None) -> str | None:
+    if text is None:
+        return None
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def dump(root: str) -> dict:
     """Every non-hard request's outcome under the checkout `root`."""
     root = os.path.abspath(root)
@@ -61,6 +70,7 @@ def dump(root: str) -> dict:
                     "workload": workload, "stratum": request.stratum,
                     "id": request.id, "status": outcome.status,
                     "response": outcome.response and json.loads(outcome.response),
+                    "sha256": response_digest(outcome.response),
                 }
     return out
 
@@ -68,7 +78,9 @@ def dump(root: str) -> dict:
 def compare(old: dict, new: dict) -> tuple[list, list, Counter]:
     """(flips, status changes, changed fields): the requests of both dumps
     whose verdict flipped, those decided in one dump only, and a count of
-    the differing response fields per (workload, stratum, field)."""
+    the differing response fields per (workload, stratum, field), with
+    the field "bytes" for differing raw response texts (compared only
+    where both dumps hold their digests)."""
     flips, statuses, fields = [], [], Counter()
     decided = ("consistent", "inconsistent")
     for key in sorted(old.keys() & new.keys(), key=lambda k: old[k]["id"]):
@@ -77,6 +89,9 @@ def compare(old: dict, new: dict) -> tuple[list, list, Counter]:
             both = a["status"] in decided and b["status"] in decided
             (flips if both else statuses).append((a, b))
             continue
+        if None not in (a.get("sha256"), b.get("sha256")) \
+                and a["sha256"] != b["sha256"]:
+            fields[a["workload"], a["stratum"], "bytes"] += 1
         ra, rb = a["response"] or {}, b["response"] or {}
         for field in sorted(ra.keys() | rb.keys()):
             if ra.get(field) != rb.get(field):
