@@ -3,10 +3,10 @@
 For C classes the confusion matrix has C*C cells, but the two standard
 averages compress it drastically. Micro averaging pools one-vs-rest
 counts, and every pooled quantity turns out to depend only on the trace
-(the number of correct predictions). Each score is monotone in the trace,
-so the decision is a binary search over t in [0, N]. Macro averaging
-averages per-class scores, which becomes an integer feasibility problem
-over the matrix.
+(the number of correct predictions). Each score is then a monotone
+binary score of the trace, so the single-testset decision over t in
+[0, N] settles a micro report. Macro averaging averages per-class
+scores, which becomes an integer feasibility problem over the matrix.
 
 Score ids must say which average they mean: micro-sens, macro-f1, ...
 

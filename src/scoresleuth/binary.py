@@ -9,24 +9,23 @@ The search is plain enumeration, expedited by pruning. One narrowing
 rule does all of it: a *sweep* onto one axis cuts that axis's int box by
 every reported score's target interval inverted over the other axis's box
 (scores.ScoreDefinition.invert). The prune repeats a tp sweep and then a
-tn sweep until neither box moves; when either box empties, both are
-reported empty. The scan then gives each tp its own tn box by a tn sweep
-over the point box [tp, tp]. Pruning only discards pairs that provably
-fail some score, and every surviving pair is verified pointwise with exact
-integer sign tests (scores.ScoreDefinition.within), so the shortcuts
-cannot change the verdict.
+tn sweep until the tn sweep leaves its box unchanged; when either box
+empties, both are reported empty. The scan then gives each tp its own tn
+box by a tn sweep over the point box [tp, tp]. Pruning only discards
+pairs that provably fail some score, and every surviving pair is verified
+pointwise with exact integer sign tests (scores.ScoreDefinition.within),
+so the shortcuts cannot change the verdict.
 
 Termination: a sweep only intersects, so the boxes never grow, and a pass
-that does not stop the prune shrinks at least one of them. The two boxes
-hold p + n + 2 counts between them, so at most p + n + 2 passes run, the
-same order as the scan's column count. The boxes where the prune stops
-are a fixpoint of the two sweeps, but not the unique greatest one: a
-corner where a score is undefined widens to the score's range, so
-narrowing one box can readmit a count on the other axis (mcc at tp = 0
-once tn is pinned to n), and a different sweep order may stop at
-different boxes. Soundness does not depend on the order: every count a
-sweep drops fails some score for every count left on the other axis, and
-the scan verifies every pair it visits.
+that does not stop the prune shrinks the tn box, which holds n + 1 counts,
+so at most n + 1 passes run. The boxes where the prune stops are a
+fixpoint of the two sweeps, but not the unique greatest one: a corner
+where a score is undefined widens to the score's range, so narrowing one
+box can readmit a count on the other axis (mcc at tp = 0 once tn is
+pinned to n), and a different sweep order may stop at different boxes.
+Soundness does not depend on the order: every count a sweep drops fails
+some score for every count left on the other axis, and the scan verifies
+every pair it visits.
 
 Boxes are int pairs (lo, hi), or None when empty, and each target's ends
 become (numerator, denominator) pairs once per report
@@ -44,11 +43,11 @@ per pair or per column: testsets with p up to about 10^4 and n up to
 about 10^5 are decided in under a second.
 
 Most inversions need no search: a score that is a ratio of two affine
-functions of the inverted count (18 of the 22 shipped scores on both
+functions of the inverted count (19 of the 22 shipped scores on both
 axes, fm on tn) has its corner tests solved in closed form on the
 interior of the axis (scores.ScoreDefinition.invert). The others (mk,
-mcc, kappa, and fm on tp) are searched, and each such inversion is
-seeded with the last nonempty box the same score gave on the same axis:
+mcc, and fm on tp) are searched, and each such inversion is seeded with
+the last nonempty box the same score gave on the same axis:
 in the prune, from the previous pass, and in the scan, from an earlier
 column. The score is monotone in both counts, so a column's bounds move
 monotonically with tp, and the boxes of successive passes only shrink;
@@ -142,21 +141,25 @@ def _sweep(scored, other, box, p, n, axis, near):
 
 
 def _prune_boxes(scored, tp_box, tn_box, p, n):
-    """Repeat a tp sweep and then a tn sweep until neither box moves (at
-    most p + n + 2 passes, see the module docstring). Conservative: never
-    discards a satisfying pair. When either box empties no pair survives,
-    so both come back None whichever axis emptied first."""
+    """Repeat a tp sweep and then a tn sweep until the tn sweep leaves the
+    tn box unchanged (at most n + 1 passes, see the module docstring).
+    Conservative: never discards a satisfying pair. When either box
+    empties no pair survives, so both come back None whichever axis
+    emptied first. A sweep's cuts depend only on the other box (`near`
+    changes only the compare() count), so one more pass would return the
+    same tp box and repeat the last tn sweep: these are the boxes that
+    passes run until neither box moves would return."""
     near_tp, near_tn = [None] * len(scored), [None] * len(scored)
     while True:
-        new_tp = _sweep(scored, tn_box, tp_box, p, n, "tp", near_tp)
-        if new_tp is None:
+        tp_box = _sweep(scored, tn_box, tp_box, p, n, "tp", near_tp)
+        if tp_box is None:
             return None, None
-        new_tn = _sweep(scored, new_tp, tn_box, p, n, "tn", near_tn)
+        new_tn = _sweep(scored, tp_box, tn_box, p, n, "tn", near_tn)
         if new_tn is None:
             return None, None
-        if (new_tp, new_tn) == (tp_box, tn_box):
+        if new_tn == tn_box:
             return tp_box, tn_box
-        tp_box, tn_box = new_tp, new_tn
+        tn_box = new_tn
 
 
 def _verify_pair(scored, tp, tn, p, n) -> bool:

@@ -11,9 +11,9 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
       TP = t,  FN = N - t,  FP = N - t,  TN = N*(C-1) - (N - t)
 
   with pooled totals p = N and n = N*(C-1). Both pooled tp and tn rise
-  with t, so each score is monotone in t and its feasible traces form one
-  run: checking a micro report is a binary search over t in [0, N]
-  (check_multiclass_micro), exact for every score in the registry.
+  with t, so each score is a monotone binary score of t (_trace_score),
+  and check_multiclass_micro decides a micro report exactly with the
+  single-testset engine on Testset(N, 0).
 
 * ``macro-<id>``: the base score is averaged over the C one-vs-rest views
   (tp_i = m[i][i], fp_i = sum of column i off the diagonal, tn_i by
@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .aggregate import solve_means
-from .binary import compute_targets
+from .binary import _search, compute_targets
 from .errors import (NonlinearScoreUnsupported, SpecError,
                      UnsupportedExperiment)
 from .feasibility import SolveOutcome, integer_row, solve
@@ -62,11 +62,11 @@ from .model import (
     FoldingScheme,
     MulticlassTestset,
     ScoreReport,
+    Testset,
     Uncertainty,
 )
-from .scores import (ScoreDefinition, ScoreRegistry, _first_true,
-                     _last_true, default_registry, require_linear,
-                     target_ends)
+from .scores import (ScoreDefinition, ScoreRegistry, default_registry,
+                     require_linear)
 
 # Nothing here calls it, but perfbench/tracing.py patches it in this
 # module's namespace, so the name stays bound.
@@ -77,7 +77,7 @@ MACRO_PREFIX = "macro-"
 
 PROCEDURES = {
     "multiclass_micro": "micro-averaged scores on one multiclass testset; "
-                        "binary search over the pooled trace",
+                        "the single-testset decision over the pooled trace",
     "multiclass_macro": "macro-averaged scores on one multiclass testset; "
                         "integer feasibility over the confusion matrix",
     "multiclass_micro_mos": "fold means of micro-averaged scores",
@@ -187,42 +187,43 @@ def _trace_direction(rid: str, definition: ScoreDefinition) -> int:
     return definition.mono_tp or definition.mono_tn
 
 
-def _interior_run(ends, directions, total: int, num_classes: int):
-    """The traces in [1, total - 1] at which every score lies in its
-    target, as (first, last); None when there is none.
+def _substitute(node, leaves: dict):
+    """A formula tree with every leaf named in `leaves` replaced."""
+    if isinstance(node, list):
+        return [node[0], *(_substitute(arg, leaves) for arg in node[1:])]
+    return leaves.get(node, node) if isinstance(node, str) else node
 
-    There the pooled tp = t and tn = total*(C-2) + t are interior counts,
-    so each score is defined and monotone in t (_trace_direction). A
-    nondecreasing score reaches its target's lower end from some trace on
-    and stays under its upper end up to some trace, so its feasible traces
-    are the run between the first of the one and the last of the other,
-    found by _first_true and _last_true on compare() at the target's ends
-    (a nonincreasing score swaps the ends, a constant one is taken as
-    nondecreasing). The runs of all scores intersect in one run, each
-    search confined to the run left by the scores before it."""
-    lo, hi = 1, total - 1
-    for (definition, (low, high)), direction in zip(ends, directions):
-        if lo > hi:
-            return None
 
-        def sign(t, end):
-            return definition.compare(*_pooled_args(t, total, num_classes),
-                                      *end)
+@functools.lru_cache(maxsize=4096)
+def _trace_score(definition: ScoreDefinition, num_classes: int
+                 ) -> ScoreDefinition:
+    """The micro average of `definition` over C = num_classes classes as a
+    binary score of the trace t = tp on Testset(N, 0): the leaves tn, fp
+    and n become tp + (C-2)*p, p - tp and (C-1)*p (fn = p - tp holds
+    already). It keeps the id, name and range, has mono_tp from
+    _trace_direction and mono_tn = 0, and is memoized per (definition, C).
 
-        def reaches_low(t):
-            return low is None or sign(t, low) >= 0
-
-        def under_high(t):
-            return high is None or sign(t, high) <= 0
-
-        rising, falling = ((reaches_low, under_high) if direction >= 0
-                           else (under_high, reaches_low))
-        first = _first_true(lo, hi, rising)
-        last = None if first is None else _last_true(first, hi, falling)
-        if last is None:
-            return None
-        lo, hi = first, last
-    return lo, hi
+    Lemma: at (t, 0, N, 0) its compiled function returns the original's
+    integers at the pooled counts _pooled_args(t, N, C), as each new
+    subtree compiles, like the leaf it replaces, to that pooled count over
+    denominator 1. So value(), compare(), within() and the corner tests of
+    invert() agree. For 0 < t < N every pooled count is positive, so the
+    score can be undefined only at tp = 0 and tp = N: the facts the engine
+    relies on. Hence the first pair of _search(Testset(N, 0), ...) has tp
+    equal to the least passing trace. scores._degrees reads the degrees in
+    t off the substituted formula: fm, gm, mk, mcc and kappa are searched
+    along the trace, every other shipped score is in closed form.
+    """
+    c = num_classes
+    formula = _substitute(definition.formula, {
+        "tn": ["+", "tp", ["*", c - 2, "p"]],
+        "fp": ["-", "p", "tp"],
+        "n": ["*", c - 1, "p"],
+    })
+    return ScoreDefinition(definition.score_id, definition.name, formula,
+                           definition.range,
+                           _trace_direction(definition.score_id, definition),
+                           0, definition.default_enabled)
 
 
 def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
@@ -230,43 +231,26 @@ def check_multiclass_micro(testset: MulticlassTestset, scores: ScoreReport,
                            registry: Optional[ScoreRegistry] = None
                            ) -> ConsistencyResult:
     """Could any confusion matrix make every reported micro average land in
-    its target interval? Decided exactly by a search over the pooled trace.
-
-    The witness is the least trace t in [0, N] at which every score lies
-    in its target, the first hit of a walk over t = 0..N. The search finds
-    it in O(k log N) compare() calls for k scores: trace 0 and trace N are
-    tested directly with within(), as a score may be undefined there, and
-    the interior [1, N-1] holds the passing traces as one run
-    (_interior_run). Every trace of that run passes, so the least passing
-    trace is 0 if it passes, else the run's first trace if the run is
-    nonempty, else N if it passes; the walk finds exactly that one.
-    """
+    its target interval? Decided exactly by the single-testset engine on
+    Testset(N, 0), each score written over the trace (_trace_score). The
+    witness is the least passing trace, the tp of the first pair. plr, and
+    nlr at C = 2, widen their corner at an end of the trace, so the scan
+    verifies the traces between their run and that end."""
     registry = registry or default_registry()
     entries = _entries(scores, registry, "micro")
-    directions = [_trace_direction(rid, definition)
-                  for rid, definition in entries]
-    targets, violation = compute_targets(scores, uncertainty, dict(entries))
+    total, num_classes = testset.size, testset.num_classes
+    definitions = {}
+    for rid, definition in entries:
+        _trace_direction(rid, definition)  # refuses under the reported id
+        definitions[rid] = _trace_score(definition, num_classes)
     procedure = "multiclass_micro"
+    violation, _, _, pairs = _search(Testset(total, 0), scores, uncertainty,
+                                     definitions)
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
-    ends = [(definition, target_ends(targets[rid]))
-            for rid, definition in entries]
-    total, num_classes = testset.size, testset.num_classes
-
-    def passes(trace):
-        args = _pooled_args(trace, total, num_classes)
-        return all(definition.within(target, *args)
-                   for definition, target in ends)
-
-    if passes(0):
-        trace = 0
-    else:
-        run = _interior_run(ends, directions, total, num_classes)
-        if run is not None:
-            trace = run[0]
-        else:
-            trace = total if passes(total) else None
-    if trace is not None:
+    witness = next(pairs, None)
+    if witness is not None:
+        trace = witness[0]
         return ConsistencyResult(
             False, procedure,
             witness={"trace": trace,

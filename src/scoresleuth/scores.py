@@ -32,7 +32,7 @@ test directly. On the interior corner values are defined and monotone;
 where the compiled formula is a ratio of two affine functions of the
 inverted count (of the radicand for the square-root kind), each corner
 test is solved in closed form from its two end values, and elsewhere
-(mk, mcc, kappa, and fm in tp) it is searched. The returned int box is
+(mk, mcc, and fm in tp) it is searched. The returned int box is
 the hull of everything that might satisfy the target, which is all the
 engine needs because final verification is pointwise and exact.
 
@@ -50,8 +50,8 @@ gives the exact sign of score - c for a rational threshold c from the
 compiled formula's integer output (cross-multiplication, and sign
 analysis then squares for the square-root kinds), and within() tests
 membership in a target with it; inversion corners, the pointwise
-verification of binary.py, the multiclass micro trace search and its
-line check for fold means all use it at int counts. value() builds the Fraction or
+verification of binary.py (micro averages included) and the micro line
+check for fold means all use it at int counts. value() builds the Fraction or
 SqrtRational where a score is needed as a number: the micro line's two
 ends, evaluate(), the brute-force oracles and checkers that recompute a
 witness.

@@ -147,7 +147,7 @@ def test_integer_scan_matches_brute_force():
 @pytest.mark.parametrize("p, n, entries, inversions, result", [
     # a sqrt_scan-shaped report (gm plus two plain scores): the scan runs
     # over 112 columns of tp
-    (3416, 1889, {"acc": "0.608", "gm": "0.632", "npv": "0.469"}, 243,
+    (3416, 1889, {"acc": "0.608", "gm": "0.632", "npv": "0.469"}, 237,
      (False, {"tp": 1701, "tn": 1520},
       {"tp_range": ["1701", "1812"], "tn_range": ["1418", "1520"]})),
     # acc and err with parallel level sets: pruning takes 98 passes to
@@ -158,9 +158,9 @@ def test_integer_scan_matches_brute_force():
 def test_inversion_count_is_pinned(monkeypatch, p, n, entries, inversions,
                                    result):
     """The prune and the scan call ScoreDefinition.invert, at class level,
-    exactly as often as before the boxes became int pairs. The benchmark's
-    tracer wraps that name, so an inversion under another name would read
-    as zero calls there."""
+    exactly as often as pinned here. The benchmark's tracer wraps that
+    name, so an inversion under another name would read as zero calls
+    there."""
     calls = []
     invert = ScoreDefinition.invert
 
@@ -325,6 +325,49 @@ def test_prune_reaches_a_fixpoint(monkeypatch):
         near = [None] * len(scored)
         assert sweep(scored, tp_box, tn_box, p, n, "tn", near) == tn_box, case
     assert passes[0] > 100 and passes[1] == 98, passes[:2]
+
+
+def _prune_until_neither_moves(scored, tp_box, tn_box, p, n):
+    """The reference for _prune_boxes: passes run until neither box
+    moves."""
+    near_tp, near_tn = [None] * len(scored), [None] * len(scored)
+    while True:
+        new_tp = binary._sweep(scored, tn_box, tp_box, p, n, "tp", near_tp)
+        if new_tp is None:
+            return None, None
+        new_tn = binary._sweep(scored, new_tp, tn_box, p, n, "tn", near_tn)
+        if new_tn is None:
+            return None, None
+        if (new_tp, new_tn) == (tp_box, tn_box):
+            return tp_box, tn_box
+        tp_box, tn_box = new_tp, new_tn
+
+
+def test_prune_stops_at_the_boxes_of_the_full_loop():
+    """Stopping when the tn sweep leaves the tn box unchanged returns the
+    boxes that passes run until neither box moves return, on the reports
+    of test_pruning_keeps_verdicts, on kappa/ppv (295 passes) and on
+    random reports over testsets of up to 400 per class."""
+    kappa_ppv = ScoreReport({"kappa": "-0.0040", "ppv": "0.0624"})
+    cases = [(Testset(519, 7564), kappa_ppv, infer_uncertainty(kappa_ppv)),
+             *_pruning_cases()]
+    rng = random.Random(20261019)
+    ids = default_registry().ids()
+    for _ in range(400):
+        testset = Testset(rng.randint(1, 400), rng.randint(0, 400))
+        cases.append((testset,
+                      *_oracle_report(rng, ids, testset.p, testset.n)))
+    moved = 0
+    for case in cases:
+        scored = _scored(*case)
+        if scored is None:
+            continue
+        p, n = case[0].p, case[0].n
+        boxes = binary._prune_boxes(scored, (0, p), (0, n), p, n)
+        assert boxes == _prune_until_neither_moves(
+            scored, (0, p), (0, n), p, n), case
+        moved += boxes[0] not in (None, (0, p))
+    assert moved > 50, moved
 
 
 def test_epsilon_monotonicity():

@@ -37,6 +37,8 @@ from scoresleuth.multiclass import (
     _fill_offdiagonal,
     _margins_realizable,
     _matrix_rows,
+    _pooled_args,
+    _trace_score,
     check_multiclass_dataset,
     check_multiclass_macro,
     check_multiclass_micro,
@@ -48,7 +50,9 @@ from scoresleuth.multiclass import (
 from scoresleuth.oracle import (_compositions, brute_force_macro,
                                 generate_true_report)
 from scoresleuth.intervals import RationalInterval
-from scoresleuth.scores import ScoreDefinition, ScoreRegistry, default_registry
+from scoresleuth.scores import (ScoreDefinition, ScoreRegistry,
+                                default_registry, fbeta_definition,
+                                target_ends)
 from scoresleuth.values import SqrtRational
 
 F = Fraction
@@ -141,9 +145,11 @@ def _first_micro_trace(registry, targets, total, num_classes):
 def _micro_reports(rng):
     """(class counts, {micro id: reported value}) of random reports: small
     testsets over all 22 shipped scores, testsets of a few hundred samples,
-    and C = 2 reports of plr and nlr beside acc, where the trace search
-    meets the ends at which they are undefined (plr at t = N, nlr at
-    t = 0) and the values next to them."""
+    C = 2 reports of plr and nlr beside acc, where the search meets the
+    ends at which they are undefined (plr at t = N, nlr at t = 0) and the
+    values next to them, and reports of plr or nlr beside any score over
+    2-5 classes and up to 400 samples, whose widened corners make the scan
+    verify the traces between a run and an end."""
     base_ids = default_registry().ids()
     for _ in range(300):
         c = rng.randint(2, 5)
@@ -158,12 +164,18 @@ def _micro_reports(rng):
         total = max(sum(counts), 1)
         ids = [rng.choice(("plr", "nlr"))] + rng.sample(["acc", "sens"], 1)
         yield counts, ids, rng.choice((0, 1, total - 1, total))
+    for _ in range(60):
+        c = rng.randint(2, 5)
+        counts = [rng.randint(0, 400 // c) for _ in range(c)]
+        total = max(sum(counts), 1)
+        ids = [rng.choice(("plr", "nlr"))] + rng.sample(base_ids, 1)
+        yield counts, ids, rng.choice((None, 1, total // 2, total - 1))
 
 
 def test_micro_scan_matches_value_reference():
-    """The micro trace search, which tests membership on integer counts,
-    finds the same first trace as a walk over every trace with
-    micro_value() and exact interval membership."""
+    """The single-testset engine over the trace, which tests membership
+    on integer counts, finds the same first trace as a walk over every
+    trace with micro_value() and exact interval membership."""
     rng = random.Random(77)
     registry = default_registry()
     outcomes = set()
@@ -193,6 +205,34 @@ def test_micro_scan_matches_value_reference():
         else:
             assert not res.inconsistency and res.witness["trace"] == expected, (
                 counts, entries)
+    assert outcomes == {True, False}
+
+
+def test_micro_falling_searched_score_matches_value_reference():
+    """1 - mk falls along the trace, where it is searched, not taken in
+    closed form, so the engine finds its run only with the direction that
+    _trace_score hands to invert(); every shipped score that is searched
+    along the trace rises. The first trace equals the walk's."""
+    mk = default_registry().get("mk")
+    falling = ScoreDefinition("fall", "one minus mk", ["-", 1, mk.formula],
+                              RationalInterval(F(0), F(2)), -1, -1)
+    registry = ScoreRegistry([falling])
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(200):
+        counts = [rng.randint(1, 60) for _ in range(rng.randint(2, 5))]
+        ts = MulticlassTestset(counts)
+        total, c = ts.size, len(counts)
+        value = micro_value(falling, rng.randint(0, total), total, c)
+        reported = float(value) + rng.choice((0, 0.01))
+        scores = ScoreReport.of(**{"micro-fall": f"{reported:.2f}"})
+        targets, _ = compute_targets(scores, U(2), {"micro-fall": falling})
+        expected = _first_micro_trace(registry, targets, total, c)
+        res = check_multiclass_micro(ts, scores, U(2), registry)
+        outcomes.add(expected is None)
+        assert res.inconsistency == (expected is None), (counts, value)
+        if expected is not None:
+            assert res.witness["trace"] == expected, (counts, value)
     assert outcomes == {True, False}
 
 
@@ -233,6 +273,94 @@ def test_micro_refuses_conflicting_directions():
         check_multiclass_micro(MulticlassTestset((3, 3)),
                                ScoreReport.of(**{"micro-odd": "0.0"}), U(2),
                                registry)
+
+
+#: ppv and gm written with negated terms, whose compiled denominators
+#: (and radicand parts) are negative.
+NEGATED = [
+    ScoreDefinition("neg-ppv", "negated ppv",
+                    ["/", ["neg", "tp"], ["neg", ["+", "tp", "fp"]]],
+                    RationalInterval(F(0), F(1)), 1, 1),
+    ScoreDefinition("neg-gm", "negated gm",
+                    ["sqrt", ["/", ["neg", ["*", "tp", "tn"]],
+                              ["neg", ["*", "p", "n"]]]],
+                    RationalInterval(F(0), F(1)), 1, 1)]
+
+
+def test_trace_score_compiles_to_the_pooled_integers():
+    """At (t, 0, N, 0) the trace score's compiled function returns the
+    integers of the original at the pooled counts, for every registry
+    score, F-beta at random rational betas and formulas with negated
+    terms, over C = 2..6, N = 1..15 and every trace; it keeps the id,
+    name and range, and is constant in tn."""
+    rng = random.Random(23)
+    definitions = (default_registry().definitions() + NEGATED
+                   + [fbeta_definition(F(rng.randint(1, 12), rng.randint(1, 12)))
+                      for _ in range(4)])
+    for definition in definitions:
+        for c in range(2, 7):
+            derived = _trace_score(definition, c)
+            assert (derived.score_id, derived.name, derived.range,
+                    derived.mono_tn) == (definition.score_id, definition.name,
+                                         definition.range, 0)
+            for total in range(1, 16):
+                for t in range(total + 1):
+                    assert derived._fn(t, 0, total, 0) == definition._fn(
+                        *_pooled_args(t, total, c)), (definition, c, total, t)
+
+
+#: The scores whose inversions along the trace are searched; every other
+#: shipped score is inverted there in closed form.
+TRACE_SEARCHED = {"fm", "gm", "mk", "mcc", "kappa"}
+
+
+@pytest.mark.parametrize("c", [2, 3, 5])
+def test_trace_closed_form_scores_are_pinned(monkeypatch, c):
+    """A trace score's inversion over a trace of 1000 calls compare() at
+    most 4 times (the two ends) when it is in closed form, and more often
+    when it is searched."""
+    calls = []
+    compare = ScoreDefinition.compare
+
+    def counted(self, *args):
+        calls.append(args)
+        return compare(self, *args)
+    monkeypatch.setattr(ScoreDefinition, "compare", counted)
+    searched = set()
+    for definition in default_registry().definitions():
+        derived = _trace_score(definition, c)
+        value = derived.value(400, 0, 1000, 0)
+        mid = round(float(value) * 1000)
+        target = RationalInterval.closed(F(mid - 2, 1000), F(mid + 2, 1000))
+        calls.clear()
+        derived.invert(target_ends(target), (0, 0), 1000, 0, "tp")
+        if len(calls) > 4:
+            searched.add(definition.score_id)
+    assert searched == TRACE_SEARCHED
+
+
+def test_micro_plr_widened_corner_example_is_pinned(monkeypatch):
+    """micro-plr 0.22 with micro-acc 0.93 over three classes of 10**4.
+    plr = 2t/(N - t) needs t near N/10 and acc = (N + 2t)/(3N) near 0.9 N,
+    so the report is inconsistent. plr is undefined at t = N, and the
+    widened corner there keeps its box open up to N, so the prune leaves
+    acc's run and the scan verifies each of its 901 traces."""
+    verified = []
+    within = ScoreDefinition.within
+
+    def counted(self, target, tp, *args):
+        verified.append(tp)
+        return within(self, target, tp, *args)
+    monkeypatch.setattr(ScoreDefinition, "within", counted)
+    report = ScoreReport.of(**{"micro-plr": "0.22", "micro-acc": "0.93"})
+    res = check_multiclass_micro(MulticlassTestset((10000,) * 3), report,
+                                 infer_uncertainty(report))
+    assert (res.inconsistency, res.witness, res.evidence) == (True, None, {
+        "reason": "no pooled one-vs-rest outcome reproduces every reported "
+                  "micro average",
+        "trace_range": [0, 30000]})
+    assert (len(set(verified)), min(verified), max(verified)) == (
+        901, 26400, 27300)
 
 
 # -------------------------------------------- micro scores as trace affines

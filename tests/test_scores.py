@@ -464,18 +464,17 @@ def test_invert_matches_value_reference(registry):
 
 
 #: The (score, axis) pairs that invert() does not take in closed form;
-#: every other pair of a shipped score does. kappa is linear-fractional
-#: in each count after cancellation, but its compiled parts have degree 2.
+#: every other pair of a shipped score does.
 SEARCHED_AXES = {("fm", "tp"), ("mk", "tp"), ("mk", "tn"), ("mcc", "tp"),
-                 ("mcc", "tn"), ("kappa", "tp"), ("kappa", "tn")}
+                 ("mcc", "tn")}
 
 
 def test_closed_form_axes_are_pinned(registry, monkeypatch):
-    """18 of the 22 scores, and F-beta at any beta, are inverted in
-    closed form on both axes, fm on tn only, and mk, mcc and kappa on
-    neither. A closed-form inversion calls compare() only at the boundary
-    counts 0 and size, at most 4 times; a search on an axis of 1000
-    counts calls it more often."""
+    """19 of the 22 scores, and F-beta at any beta, are inverted in
+    closed form on both axes, fm on tn only, and mk and mcc on neither.
+    A closed-form inversion calls compare() only at the boundary counts 0
+    and size, at most 4 times; a search on an axis of 1000 counts calls
+    it more often."""
     calls = []
     compare = ScoreDefinition.compare
 
@@ -495,6 +494,29 @@ def test_closed_form_axes_are_pinned(registry, monkeypatch):
             if len(calls) > 4:
                 searched.add((definition.score_id, axis))
     assert searched == SEARCHED_AXES
+
+
+#: kappa with its denominator expanded, the reference for the one in
+#: data/scores.json, whose factors n = fp + tn and p = tp + fn make it
+#: affine in each count.
+KAPPA_EXPANDED = ["/", ["*", 2, ["-", ["*", "tp", "tn"], ["*", "fp", "fn"]]],
+                  ["+", ["*", ["+", "tp", "fp"], ["+", "fp", "tn"]],
+                   ["*", ["+", "tp", "fn"], ["+", "fn", "tn"]]]]
+
+
+def test_kappa_formula_compiles_to_the_expanded_integers(registry):
+    """The shipped kappa, with denominator (tp + fp)*n + p*(fn + tn),
+    compiles to the same numerator and denominator integers as the
+    expanded (tp + fp)*(fp + tn) + (tp + fn)*(fn + tn) at every count of
+    every testset with p, n <= 12, so every value, comparison and
+    inversion is unchanged."""
+    kappa = registry.get("kappa")
+    expanded = ScoreDefinition("kappa", "Cohen kappa", KAPPA_EXPANDED,
+                               kappa.range, 1, 1)
+    for p, n in itertools.product(range(13), repeat=2):
+        for tp, tn in itertools.product(range(p + 1), range(n + 1)):
+            assert kappa._fn(tp, tn, p, n) == expanded._fn(tp, tn, p, n), (
+                tp, tn, p, n)
 
 
 # ---------------------------------------------------------------------------
