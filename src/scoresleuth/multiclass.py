@@ -18,11 +18,15 @@ class j) with row sums c_i. Reported scores must carry an averaging prefix:
 * ``macro-<id>``: the base score is averaged over the C one-vs-rest views
   (tp_i = m[i][i], fp_i = sum of column i off the diagonal, tn_i by
   complement), so a macro average is a mean of binary scores over C
-  leaves, as a fold mean is over k, and `aggregate.solve_means` writes its
-  row. For scores affine in (tp, tn) that row is affine in the per-class
+  leaves, as a fold mean is over k. Non-affine base scores are refused
+  (NonlinearScoreUnsupported). An affine macro score equals its micro
+  average on every matrix when it depends on the counts only through
+  acc (macro-acc, macro-err), and every affine one does on a testset
+  whose classes are all of one size (_macro_decide); such scores are
+  decided on the trace alone, as micro fold means are. The rest go to
+  `aggregate.solve_means`, whose rows are affine in the per-class
   (tp_i, fp_i); _matrix_rows adds the rows that make the views those of
   an actual matrix, and exact branch-and-bound decides them all.
-  Non-affine base scores are refused (NonlinearScoreUnsupported).
 
 Cross-validated multiclass datasets compose the same way binary ones do:
 score-of-means pools to the parent testset, and mean-of-scores runs the OR
@@ -79,9 +83,12 @@ PROCEDURES = {
     "multiclass_micro": "micro-averaged scores on one multiclass testset; "
                         "the single-testset decision over the pooled trace",
     "multiclass_macro": "macro-averaged scores on one multiclass testset; "
+                        "the trace where they equal micro averages, then "
                         "integer feasibility over the confusion matrix",
     "multiclass_micro_mos": "fold means of micro-averaged scores",
-    "multiclass_macro_mos": "fold means of macro-averaged scores",
+    "multiclass_macro_mos": "fold means of macro-averaged scores; the fold "
+                            "traces where they equal micro averages, then "
+                            "integer feasibility over the matrices",
 }
 
 
@@ -370,6 +377,82 @@ def _solve_macro(fold_counts: Sequence[tuple[int, ...]], entries,
     return SolveOutcome(matrices)
 
 
+def _trace_equivalent(definition: ScoreDefinition, counts) -> bool:
+    """Whether the macro average of an affine score equals its micro
+    average on every confusion matrix with row sums `counts`: it reads
+    the counts only through acc (alpha = beta = 0 in its AffineForm), or
+    every class has the same size (lemma in _macro_decide)."""
+    form = definition.form
+    return form.alpha == form.beta == 0 or len(set(counts)) == 1
+
+
+def _matrix_with_trace(counts: Sequence[int], trace: int) -> list[list[int]]:
+    """A confusion matrix with row sums `counts` and the given trace in
+    [0, sum(counts)]: the diagonal filled greedily, d_i = min(c_i, trace
+    left), and the rest of row i sent to column (i + 1) mod C."""
+    size = len(counts)
+    matrix = [[0] * size for _ in counts]
+    for i, c in enumerate(counts):
+        matrix[i][i] = diagonal = min(c, trace)
+        trace -= diagonal
+        matrix[i][(i + 1) % size] += c - diagonal
+    return matrix
+
+
+def _macro_decide(fold_counts: Sequence[tuple[int, ...]], entries,
+                  targets) -> SolveOutcome:
+    """Macro-average (fold-mean) constraints decided on the fold traces
+    where the reported scores equal their micro averages, and by
+    _solve_macro otherwise; the outcome is _solve_macro's.
+
+    Lemma: take a C x C matrix with N samples and trace T. Each sample off
+    the diagonal is a false positive of exactly one class, so sum fp_i =
+    N - T and sum tn_i = sum (N - c_i - fp_i) = (C - 2)N + T. An affine
+    score with alpha = beta = 0 reads (tp_i + tn_i)/N, whose mean over the
+    classes is (2T + (C - 2)N)/(CN), micro-acc at T; so macro-acc and
+    macro-err equal micro-acc and micro-err on every class split. If every
+    class has c samples (N = Cc), the class means of tp_i/c, tn_i/(N - c)
+    and (tp_i + tn_i)/N are T/N, ((C - 2)N + T)/((C - 1)N) and
+    (2T + (C - 2)N)/(CN): the pooled counts over their pooled totals, all
+    positive. So every affine score's macro average is its micro value at
+    T. A fold mean is a mean of per-fold values, so where this holds for
+    every reported score on every fold (_trace_equivalent), the macro fold
+    means are micro fold means, which _fold_traces decides exactly.
+
+    * Every score trace-equivalent: the traces decide the report. Every
+      trace in [0, N] is some matrix's (_matrix_with_trace), and all
+      matrices with trace T give the same values, so it reproduces them.
+    * Some are: their traces are decided first. Every outcome satisfying
+      all the scores satisfies that subset, so an infeasible subset
+      refutes the report. An affine score is defined wherever p, n and
+      p + n are positive, so only a fold with an empty class can leave one
+      undefined; _solve_macro reports that as an exclusion before any
+      search, and is asked first.
+    * Otherwise, and when the subset is feasible: _solve_macro, with its
+      rows and variables as they are.
+    """
+    equivalent = [(rid, definition) for rid, definition in entries
+                  if all(_trace_equivalent(definition, counts)
+                         for counts in fold_counts)]
+    if not equivalent:
+        return _solve_macro(fold_counts, entries, targets)
+    traces = _fold_traces([sum(counts) for counts in fold_counts],
+                          len(fold_counts[0]), equivalent, targets)
+    if traces is None and not any(
+            definition.affine_coefficients(c, sum(counts) - c) is None
+            for counts in fold_counts if 0 in counts
+            for c in counts for _, definition in entries):
+        return SolveOutcome(evidence={
+            "reason": "no trace reproduces the reported averages that equal "
+                      "their micro averages on these classes",
+            "scores": [rid for rid, _ in equivalent]})
+    if traces is None or len(equivalent) < len(entries):
+        return _solve_macro(fold_counts, entries, targets)
+    return SolveOutcome([{"class_counts": list(counts),
+                          "matrix": _matrix_with_trace(counts, trace)}
+                         for counts, trace in zip(fold_counts, traces)])
+
+
 def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
                            uncertainty: Uncertainty,
                            registry: Optional[ScoreRegistry] = None
@@ -383,7 +466,7 @@ def check_multiclass_macro(testset: MulticlassTestset, scores: ScoreReport,
     procedure = "multiclass_macro"
     if violation is not None:
         return ConsistencyResult(True, procedure, evidence=violation)
-    outcome = _solve_macro([testset.class_counts], entries, targets)
+    outcome = _macro_decide([testset.class_counts], entries, targets)
     if outcome.feasible:
         return ConsistencyResult(False, procedure, witness={
             "matrix": outcome.solution[0]["matrix"]})
@@ -428,6 +511,24 @@ def _micro_mean_system(groups: Counter, num_classes: int, entries, targets):
             constant += m * b / k
         rows.append(integer_row(coeffs, constant, targets[rid]))
     return domains, rows
+
+
+def _fold_traces(fold_totals: Sequence[int], num_classes: int, entries,
+                 targets) -> Optional[list[int]]:
+    """Per-fold traces that put every fold mean of the micro scores
+    `entries` in its target, or None when there are none: the summed trace
+    of each total from _micro_mean_system, split over its folds in turn."""
+    groups = Counter(fold_totals)
+    assignment = solve(*_micro_mean_system(groups, num_classes, entries,
+                                           targets))
+    if assignment is None:
+        return None
+    left = dict(zip(groups, assignment))
+    traces = []
+    for total in fold_totals:
+        traces.append(min(total, left[total]))
+        left[total] -= traces[-1]
+    return traces
 
 
 def check_multiclass_dataset(testset: MulticlassTestset,
@@ -488,24 +589,16 @@ def check_multiclass_dataset(testset: MulticlassTestset,
 
     def decide(layout) -> SolveOutcome:
         if family == "macro":
-            return _solve_macro(layout, entries, targets)
+            return _macro_decide(layout, entries, targets)
         fold_totals = [sum(v) for v in layout]
         sizes = tuple(sorted(fold_totals))
         if sizes not in infeasible_sizes:
-            groups = Counter(fold_totals)
-            assignment = solve(*_micro_mean_system(
-                groups, num_classes, entries, targets))
-            if assignment is not None:
-                # each total's summed trace, split over its folds in turn
-                left = dict(zip(groups, assignment))
-                folds = []
-                for total in fold_totals:
-                    trace = min(total, left[total])
-                    left[total] -= trace
-                    folds.append({"total": total, "trace": trace,
-                                  "pooled": micro_counts(trace, total,
-                                                         num_classes)})
-                return SolveOutcome(folds)
+            traces = _fold_traces(fold_totals, num_classes, entries, targets)
+            if traces is not None:
+                return SolveOutcome([
+                    {"total": total, "trace": trace,
+                     "pooled": micro_counts(trace, total, num_classes)}
+                    for total, trace in zip(fold_totals, traces)])
             infeasible_sizes[sizes] = SolveOutcome(evidence={
                 "reason": "no per-fold traces satisfy every fold-mean "
                           "constraint"})

@@ -4,6 +4,7 @@ checked against worked examples, matrix-level brute force, and each
 private building block's own contract."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -33,11 +34,13 @@ from scoresleuth.model import (
     Uncertainty,
     infer_uncertainty,
 )
+from scoresleuth import multiclass
 from scoresleuth.multiclass import (
     _fill_offdiagonal,
     _margins_realizable,
     _matrix_rows,
     _pooled_args,
+    _solve_macro,
     _trace_score,
     check_multiclass_dataset,
     check_multiclass_macro,
@@ -48,7 +51,7 @@ from scoresleuth.multiclass import (
     split_average_prefix,
 )
 from scoresleuth.oracle import (_compositions, brute_force_macro,
-                                generate_true_report)
+                                generate_true_report, render_decimal)
 from scoresleuth.intervals import RationalInterval
 from scoresleuth.scores import (ScoreDefinition, ScoreRegistry,
                                 default_registry, fbeta_definition,
@@ -918,6 +921,285 @@ def test_known_folds_must_match_parent_totals():
     with pytest.raises(FoldTotalsMismatch):
         check_multiclass_dataset(ts, folds, MOS,
                                  ScoreReport.of(**{"micro-acc": "0.5"}), U(2))
+
+
+# -------------------------------------------- macro averages on the trace
+
+AFFINE_MACRO = [f"macro-{i}" for i in ("acc", "err", "sens", "spec", "fpr",
+                                       "fnr", "bacc", "youden")]
+
+
+def _matrices(counts):
+    """Every confusion matrix with row sums `counts`."""
+    return itertools.product(*(_compositions(c, len(counts)) for c in counts))
+
+
+def _random_matrix(rng, counts):
+    rows = []
+    for c in counts:
+        cuts = sorted(rng.randint(0, c) for _ in range(len(counts) - 1))
+        rows.append([b - a for a, b in zip([0, *cuts], [*cuts, c])])
+    return rows
+
+
+def _macro_report(rng, ids, fold_matrices, fold_counts, kind):
+    """A report on `ids` at 2-3 decimals: the fold means of the macro
+    values on the given matrices ("true"), the same with one score moved
+    by 2-3 units of its last digit ("shifted"), or random ("random")."""
+    k = rng.randint(2, 3)
+    if kind == "random":
+        return ScoreReport({rid: f"{rng.uniform(0, 1):.{k}f}" for rid in ids})
+    values = {rid: sum(macro_mean(rid, m, c)
+                       for m, c in zip(fold_matrices, fold_counts))
+              / len(fold_counts) for rid in ids}
+    if kind == "shifted":
+        rid = rng.choice(ids)
+        values[rid] += F(rng.choice([-3, -2, 2, 3]), 10 ** k)
+    return ScoreReport({rid: render_decimal(v, k) for rid, v in values.items()})
+
+
+def _kernel_inconsistent(fold_counts, scores, uncertainty):
+    """The reference verdict: _solve_macro over every reported score."""
+    registry = default_registry()
+    entries = [(rid, registry.get(split_average_prefix(rid)[1]))
+               for rid in scores.ids]
+    targets, violation = compute_targets(scores, uncertainty, dict(entries))
+    return violation is not None or \
+        not _solve_macro(fold_counts, entries, targets).feasible
+
+
+def _assert_macro_witness(folds, fold_counts, scores, uncertainty):
+    """Every witness matrix has its row sums, and every reported score's
+    fold mean recomputed with value() lies within its radius."""
+    assert len(folds) == len(fold_counts)
+    for matrix, counts in zip(folds, fold_counts):
+        assert all(x >= 0 for row in matrix for x in row)
+        assert [sum(row) for row in matrix] == list(counts)
+    for rid in scores.ids:
+        mean = sum(macro_mean(rid, m, c) for m, c in zip(folds, fold_counts))
+        assert abs(mean / len(folds) - scores.value(rid)) <= \
+            uncertainty.radius_for(rid), (fold_counts, scores, rid)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _solve_macro(*args)
+
+    monkeypatch.setattr(multiclass, "_solve_macro", counted)
+    return calls
+
+
+def test_equal_class_macro_reports_agree_with_the_oracles(monkeypatch):
+    """Random macro reports on C equal classes (C 2-5, 1-4 per class, 1-3
+    at C = 5),
+    true, shifted or random: the verdict equals _solve_macro's, and
+    brute_force_macro's where it is small; none reaches the kernel."""
+    rng = random.Random(4242)
+    calls = _count_kernel_calls(monkeypatch)
+    verdicts, brute = set(), 0
+    for case in range(150):
+        c = rng.randint(2, 5)
+        counts = (rng.randint(1, 3 if c == 5 else 4),) * c
+        ts = MulticlassTestset(counts)
+        ids = rng.sample(AFFINE_MACRO, rng.randint(1, 3))
+        kind = ("true", "shifted", "random")[case % 3]
+        scores = _macro_report(rng, ids, [_random_matrix(rng, counts)],
+                               [counts], kind)
+        uncertainty = infer_uncertainty(scores)
+        res = check_multiclass_macro(ts, scores, uncertainty)
+        assert res.inconsistency == \
+            _kernel_inconsistent([counts], scores, uncertainty), (counts, scores)
+        assert not (kind == "true" and res.inconsistency), (counts, scores)
+        if math.comb(counts[0] + len(counts) - 1, len(counts) - 1) \
+                ** len(counts) <= 5_000:
+            brute += 1
+            oracle = brute_force_macro(ts, scores, uncertainty)
+            assert res.inconsistency == oracle.inconsistency, (counts, scores)
+        if not res.inconsistency:
+            _assert_macro_witness([res.witness["matrix"]], [counts], scores,
+                                  uncertainty)
+        verdicts.add(res.inconsistency)
+    assert calls == [] and verdicts == {True, False} and brute > 50
+
+
+def test_macro_acc_and_err_decide_on_the_trace_on_unequal_classes(
+        monkeypatch):
+    """macro-acc or macro-err, alone or with other affine scores, on
+    unequal classes: the verdict equals brute_force_macro's and
+    _solve_macro's; the kernel runs only when acc/err's traces are
+    feasible and another score is reported."""
+    rng = random.Random(5151)
+    calls = _count_kernel_calls(monkeypatch)
+    verdicts, skipped = set(), 0
+    others = [rid for rid in AFFINE_MACRO
+              if rid not in ("macro-acc", "macro-err")]
+    for case in range(150):
+        c = rng.randint(2, 4)
+        counts = tuple(rng.randint(1, 2 if c == 4 else 3) for _ in range(c))
+        ts = MulticlassTestset(counts)
+        ids = [rng.choice(["macro-acc", "macro-err"]),
+               *rng.sample(others, rng.randint(0, 2))]
+        kind = ("true", "shifted", "random")[case % 3]
+        scores = _macro_report(rng, ids, [_random_matrix(rng, counts)],
+                               [counts], kind)
+        uncertainty = infer_uncertainty(scores)
+        before = len(calls)
+        res = check_multiclass_macro(ts, scores, uncertainty)
+        oracle = brute_force_macro(ts, scores, uncertainty)
+        assert res.inconsistency == oracle.inconsistency, (counts, scores)
+        assert res.inconsistency == \
+            _kernel_inconsistent([counts], scores, uncertainty), (counts, scores)
+        assert not (kind == "true" and res.inconsistency), (counts, scores)
+        equal = len(set(counts)) == 1
+        if len(ids) == 1 or equal:
+            assert len(calls) == before, (counts, scores)
+        skipped += len(calls) == before
+        if not res.inconsistency:
+            _assert_macro_witness([res.witness["matrix"]], [counts], scores,
+                                  uncertainty)
+        verdicts.add(res.inconsistency)
+    assert verdicts == {True, False} and 0 < skipped < 150
+
+    # An infeasible acc window refutes the report before the kernel; a
+    # feasible one hands the whole report to the kernel once.
+    ts = MulticlassTestset((5, 6, 7))
+    calls.clear()
+    res = check_multiclass_macro(
+        ts, ScoreReport.of(**{"macro-acc": "0.20", "macro-sens": "0.5"}), U(2))
+    assert res.inconsistency and calls == []
+    assert res.evidence["scores"] == ["macro-acc"]
+    res = check_multiclass_macro(
+        ts, ScoreReport.of(**{"macro-acc": "0.78", "macro-sens": "0.67"}), U(2))
+    assert not res.inconsistency and len(calls) == 1
+
+
+def macro_fold_means_feasible(fold_counts, scores, uncertainty):
+    """Matrix-product oracle for several macro scores: do some per-fold
+    confusion matrices put every reported fold mean within its radius?"""
+    def fold_values(counts):
+        return {tuple(macro_mean(rid, m, counts) for rid in scores.ids)
+                for m in _matrices(counts)}
+
+    k = len(fold_counts)
+    windows = [(scores.value(rid) - uncertainty.radius_for(rid),
+                scores.value(rid) + uncertainty.radius_for(rid))
+               for rid in scores.ids]
+    return any(all(lo <= sum(col) / k <= hi
+                   for col, (lo, hi) in zip(zip(*combo), windows))
+               for combo in itertools.product(*map(fold_values, fold_counts)))
+
+
+def test_balanced_macro_fold_means_agree_with_the_matrix_product_oracle(
+        monkeypatch):
+    """Known folds that are each balanced, and stratified folds of a
+    balanced testset: the macro fold-mean verdict equals the
+    matrix-product oracle's, with no kernel call."""
+    rng = random.Random(6161)
+    calls = _count_kernel_calls(monkeypatch)
+    verdicts = set()
+    for case in range(150):
+        c, k = rng.randint(2, 3), rng.randint(2, 3)
+        if case % 2:
+            fold_counts = [(rng.randint(1, 2),) * c for _ in range(k)]
+            parent = MulticlassTestset([sum(f[0] for f in fold_counts)] * c)
+            scheme = FoldingScheme.known([MulticlassTestset(f)
+                                          for f in fold_counts])
+        else:
+            parent = MulticlassTestset((rng.randint(k, 2 * k),) * c)
+            scheme = FoldingScheme.stratified(k)
+            fold_counts = stratified_split_counts(parent.class_counts, k)
+        ids = rng.sample(AFFINE_MACRO, rng.randint(1, 2))
+        kind = ("true", "shifted", "random")[case % 3]
+        scores = _macro_report(
+            rng, ids, [_random_matrix(rng, f) for f in fold_counts],
+            fold_counts, kind)
+        uncertainty = infer_uncertainty(scores)
+        res = check_multiclass_dataset(parent, scheme, MOS, scores,
+                                       uncertainty)
+        feasible = macro_fold_means_feasible(fold_counts, scores, uncertainty)
+        assert res.inconsistency == (not feasible), (fold_counts, scores)
+        assert not (kind == "true" and res.inconsistency)
+        if not res.inconsistency:
+            folds = res.witness["folds"]
+            assert [f["class_counts"] for f in folds] == \
+                [list(f) for f in fold_counts]
+            _assert_macro_witness([f["matrix"] for f in folds], fold_counts,
+                                  scores, uncertainty)
+        verdicts.add(res.inconsistency)
+    assert calls == [] and verdicts == {True, False}
+
+
+def test_equal_class_macro_and_micro_reports_get_one_verdict():
+    """On equal classes every affine macro score is its micro average, so
+    the macro request and the same request with micro- ids agree, single
+    testsets and stratified fold means alike."""
+    rng = random.Random(7373)
+    verdicts = set()
+    for case in range(200):
+        c, size = rng.randint(2, 5), rng.randint(1, 60)
+        ts = MulticlassTestset((size,) * c)
+        ids = rng.sample(AFFINE_MACRO, rng.randint(1, 3))
+        kind = ("true", "shifted", "random")[case % 3]
+        macro = _macro_report(rng, ids, [_random_matrix(rng, ts.class_counts)],
+                              [ts.class_counts], kind)
+        micro = ScoreReport({"micro-" + rid[len("macro-"):]: macro.text(rid)
+                             for rid in macro.ids})
+        k = rng.randint(2, 3)
+        folding = FoldingScheme.stratified(k) if size >= k and case % 2 \
+            else None
+        results = [check_multiclass_dataset(ts, folding, folding and MOS,
+                                            report, infer_uncertainty(report))
+                   for report in (macro, micro)]
+        assert results[0].inconsistency == results[1].inconsistency, \
+            (ts, folding, macro)
+        verdicts.add(results[0].inconsistency)
+    assert verdicts == {True, False}
+
+
+def test_undefined_scores_keep_their_exclusion_evidence(monkeypatch):
+    """macro-acc's trace window is empty, but macro-sens is undefined on
+    the empty class: the exclusion is reported, as before the trace."""
+    calls = _count_kernel_calls(monkeypatch)
+    report = ScoreReport.of(**{"macro-acc": "0.25", "macro-sens": "0.5"})
+    res = check_multiclass_macro(MulticlassTestset((2, 0)), report, U(2))
+    assert res.inconsistency and len(calls) == 1
+    assert res.evidence["score"] == "macro-sens"
+    assert (res.evidence["fold"], res.evidence["class"]) == (0, 1)
+    folds = FoldingScheme.known([MulticlassTestset((1, 1, 1)),
+                                 MulticlassTestset((1, 1, 0))])
+    res = check_multiclass_dataset(MulticlassTestset((2, 2, 1)), folds, MOS,
+                                   report, U(2))
+    assert res.inconsistency
+    assert res.evidence["score"] == "macro-sens"
+    assert (res.evidence["fold"], res.evidence["class"]) == (1, 2)
+    # macro-acc alone is defined on every class split, empty classes too.
+    alone = ScoreReport.of(**{"macro-acc": "0.50"})
+    calls.clear()
+    res = check_multiclass_macro(MulticlassTestset((2, 0)), alone, U(2))
+    assert not res.inconsistency and calls == []
+    _assert_macro_witness([res.witness["matrix"]], [(2, 0)], alone, U(2))
+
+
+def test_readme_macro_report_is_refuted_without_the_kernel(monkeypatch):
+    """macro-acc 0.90 with macro-sens 0.61 at radius 0.01 on 5 classes of
+    100: acc fixes T/N to [0.725, 0.775] and sens to [0.60, 0.62], so the
+    traces alone refute it; and a 10 x 1000 consistent report gets a
+    matrix that recomputes every score."""
+    calls = _count_kernel_calls(monkeypatch)
+    report = ScoreReport.of(**{"macro-acc": "0.90", "macro-sens": "0.61"})
+    res = check_multiclass_macro(MulticlassTestset((100,) * 5), report,
+                                 Uncertainty(F(1, 100)))
+    assert res.inconsistency and calls == []
+    assert res.evidence["scores"] == ["macro-acc", "macro-sens"]
+    counts = (1000,) * 10
+    report = ScoreReport.of(**{"macro-acc": "0.9412", "macro-sens": "0.7060",
+                               "macro-spec": "0.9673"})
+    res = check_multiclass_macro(MulticlassTestset(counts), report, U(4))
+    assert not res.inconsistency and calls == []
+    _assert_macro_witness([res.witness["matrix"]], [counts], report, U(4))
 
 
 # ------------------------------------------------------------- id hygiene
